@@ -147,14 +147,19 @@ parallelMapReduce(std::size_t begin, std::size_t end,
  * Wait-free snapshot publication for a single writer and any number
  * of concurrent readers (seqlock-style, double-buffered).
  *
- * The writer alternates between two buffers: each publish writes the
- * buffer readers are *not* being directed to, then flips the `latest`
- * index. Readers copy the buffer `latest` points at and validate the
- * buffer's sequence counter around the copy; when a validation fails
- * (the writer lapped into that buffer mid-copy), the *other* buffer
- * is guaranteed stable for the remainder of that publish, so a read
- * completes in at most two attempts per overlapping publish — there
- * are no reader-side locks, and readers never make the writer wait.
+ * The writer alternates between two buffers: each publish marks the
+ * buffer readers are *not* being directed to as in progress, writes
+ * it, flips the `latest` index to it, and only then marks it
+ * complete. Readers copy the buffer `latest` points at and validate
+ * the buffer's sequence counter around the copy; when a validation
+ * fails (that buffer is still being written, or the writer lapped
+ * into it mid-copy), the *other* buffer is guaranteed stable for the
+ * remainder of that publish, so a read completes in at most two
+ * attempts per overlapping publish — there are no reader-side locks,
+ * and readers never make the writer wait. Because a buffer only
+ * validates once `latest` already points at it, successive reads
+ * never go back in time: no read can return a publish older than one
+ * an earlier read returned.
  *
  * The payload is stored as 64-bit atomic words (relative to a
  * trivially copyable T), so concurrent reads during a write are
@@ -191,8 +196,12 @@ class SnapshotCell
         std::memcpy(raw, &value, sizeof(T));
         for (std::size_t w = 0; w < kWords; ++w)
             buffer.words[w].store(raw[w]);
-        buffer.seq.store(seq + 2); // even: write complete
+        // Flip before completing: were the buffer to validate first, a
+        // reader falling back to it could return this publish and its
+        // next read, still directed to the older buffer, the previous
+        // one.
         latest_.store(next);
+        buffer.seq.store(seq + 2); // even: write complete
         publishes_.fetch_add(1);
     }
 

@@ -10,6 +10,7 @@
 
 #include "cache/compr_api.hh"
 #include "common/obs.hh"
+#include "common/parallel.hh"
 #include "resilience/checkpoint.hh"
 
 namespace fairco2::durability
@@ -274,13 +275,25 @@ parseRecords(const std::vector<std::uint8_t> &bytes,
 std::vector<std::uint8_t>
 readFileBytes(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         throw WalIntegrityError("cannot open wal segment '" + path +
                                 "'");
-    return std::vector<std::uint8_t>(
-        std::istreambuf_iterator<char>(in),
-        std::istreambuf_iterator<char>());
+    const std::streamoff size = in.tellg();
+    if (size < 0)
+        throw WalIntegrityError("cannot size wal segment '" + path +
+                                "'");
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(reinterpret_cast<char *>(bytes.data()), size);
+    // A segment that shrinks under the reader must surface as damage,
+    // never as zero-filled bytes that could parse.
+    if (in.gcount() != size)
+        throw WalIntegrityError(
+            "short read of wal segment '" + path + "': got " +
+            std::to_string(in.gcount()) + " of " +
+            std::to_string(size) + " bytes");
+    return bytes;
 }
 
 /** Validate a segment header; throws naming the defect. */
@@ -679,6 +692,21 @@ windowSumDigest(std::uint64_t closed_periods,
     return hash;
 }
 
+ScrubWindow
+scrubWindow(const std::vector<WalTickRecord> &records,
+            std::size_t window_periods, std::uint64_t watermark)
+{
+    ScrubWindow out;
+    if (!records.empty()) {
+        const std::uint64_t last_period = records.back().period;
+        if (last_period + 1 > watermark)
+            out.closed = last_period + 1 - watermark;
+    }
+    out.periods = std::min<std::uint64_t>(window_periods, out.closed);
+    out.first = out.closed - out.periods;
+    return out;
+}
+
 WindowDigests
 deriveWindowDigests(
     const std::vector<WalTickRecord> &records, std::size_t shards,
@@ -686,44 +714,49 @@ deriveWindowDigests(
     const std::function<std::uint64_t(std::uint64_t tenant,
                                       std::uint64_t period)> &unitsOf)
 {
-    WindowDigests out;
-    std::uint64_t closed = 0;
-    if (!records.empty()) {
-        const std::uint64_t last_period = records.back().period;
-        if (last_period + 1 > watermark)
-            closed = last_period + 1 - watermark;
-    }
-    const std::uint64_t window =
-        std::min<std::uint64_t>(window_periods, closed);
-    const std::uint64_t first_closed = closed - window;
+    const ScrubWindow window =
+        scrubWindow(records, window_periods, watermark);
 
     // Accumulate per-period unit sums for the in-window closed
     // periods only — the exact quantities the live replicas keep in
-    // their windowUnitSums deques.
-    std::vector<std::uint64_t> fleet(window, 0);
+    // their windowUnitSums deques. One chunk per shard: each chunk
+    // scans the log and sums only its own shard's batches, so the
+    // writes are disjoint and every slot sees its batches in log
+    // order whatever the thread count.
     std::vector<std::vector<std::uint64_t>> shard_sums(
-        shards, std::vector<std::uint64_t>(window, 0));
-    for (const WalTickRecord &record : records) {
-        for (const WalBatch &batch : record.admitted) {
-            for (std::uint32_t p = 0; p < batch.coveredPeriods;
-                 ++p) {
-                const std::uint64_t covered =
-                    batch.period - batch.coveredPeriods + p;
-                if (covered < first_closed ||
-                    covered >= first_closed + window)
+        shards, std::vector<std::uint64_t>(window.periods, 0));
+    parallel::parallelFor(0, shards, 1, [&](std::size_t lo,
+                                            std::size_t hi) {
+        for (const WalTickRecord &record : records) {
+            for (const WalBatch &batch : record.admitted) {
+                const std::size_t s = batch.tenant % shards;
+                if (s < lo || s >= hi)
                     continue;
-                const std::uint64_t units =
-                    unitsOf(batch.tenant, covered);
-                const std::uint64_t slot = covered - first_closed;
-                fleet[slot] += units;
-                shard_sums[batch.tenant % shards][slot] += units;
+                for (std::uint32_t p = 0; p < batch.coveredPeriods;
+                     ++p) {
+                    const std::uint64_t covered =
+                        batch.period - batch.coveredPeriods + p;
+                    if (covered < window.first ||
+                        covered >= window.first + window.periods)
+                        continue;
+                    shard_sums[s][covered - window.first] +=
+                        unitsOf(batch.tenant, covered);
+                }
             }
         }
-    }
-    out.fleet = windowSumDigest(closed, fleet);
-    out.shard.assign(shards, 0);
-    for (std::size_t s = 0; s < shards; ++s)
-        out.shard[s] = windowSumDigest(closed, shard_sums[s]);
+    });
+
+    // The fleet slots are the integer sum over shards — associative,
+    // so the same for any shard count and any thread count.
+    std::vector<std::uint64_t> fleet(window.periods, 0);
+    for (const std::vector<std::uint64_t> &sums : shard_sums)
+        for (std::size_t i = 0; i < sums.size(); ++i)
+            fleet[i] += sums[i];
+    WindowDigests out;
+    out.fleet = windowSumDigest(window.closed, fleet);
+    out.shard.reserve(shards);
+    for (const std::vector<std::uint64_t> &sums : shard_sums)
+        out.shard.push_back(windowSumDigest(window.closed, sums));
     return out;
 }
 

@@ -262,15 +262,36 @@ struct WindowDigests
     }
 };
 
+/** The closed periods a scrub digests, as derived from the log. */
+struct ScrubWindow
+{
+    std::uint64_t closed = 0;  //!< periods closed after the last record
+    std::uint64_t first = 0;   //!< oldest in-window closed period
+    std::uint64_t periods = 0; //!< in-window periods (<= the window)
+};
+
+/** The scrub window of @p records: periods close up to
+ *  `lastPeriod - watermark`, and the last @p window_periods of them
+ *  are in window. */
+ScrubWindow scrubWindow(const std::vector<WalTickRecord> &records,
+                        std::size_t window_periods,
+                        std::uint64_t watermark);
+
 /**
  * Re-derive the window digests purely from WAL records: accumulate
  * per-period unit sums from each admitted batch's covered periods
  * via @p unitsOf(tenant, period) — the caller binds the tenant
  * population's integer materialization — route shard sums by
- * `tenant % shards`, close periods up to
- * `lastPeriod - watermark`, and digest the last @p windowPeriods
- * closed sums. Matches server::Replica::windowDigests() on an
- * uncorrupted run by construction.
+ * `tenant % shards`, and digest the scrubWindow() periods. The fleet
+ * sums are the integer sum of the shard sums. Matches
+ * server::Replica::windowDigests() on an uncorrupted run by
+ * construction.
+ *
+ * The derivation runs one parallel::parallelFor chunk per shard, so
+ * @p unitsOf is called concurrently for tenants of *different*
+ * shards: it must be safe to call from several threads at once (a
+ * pure function over read-only state). The digests do not depend on
+ * the thread count.
  */
 WindowDigests deriveWindowDigests(
     const std::vector<WalTickRecord> &records, std::size_t shards,

@@ -138,16 +138,17 @@ Replica::surrogateCounters() const
 
 Replica::~Replica() = default;
 
-std::vector<std::uint64_t> &
-Replica::pendingFor(Shard &shard, std::uint64_t period,
-                    std::size_t period_samples)
+Replica::PendingPeriod &
+Replica::pendingFor(Shard &shard, std::uint64_t period) const
 {
-    for (std::size_t i = 0; i < shard.pendingPeriods.size(); ++i)
-        if (shard.pendingPeriods[i] == period)
-            return shard.pending[i];
-    shard.pendingPeriods.push_back(period);
-    shard.pending.emplace_back(period_samples, 0);
-    return shard.pending.back();
+    for (PendingPeriod &entry : shard.pending)
+        if (entry.period == period)
+            return entry;
+    PendingPeriod &entry = shard.pending.emplace_back();
+    entry.period = period;
+    entry.carrier = population_.diurnalCarrier(period);
+    entry.units.assign(config_.periodSamples, 0);
+    return entry;
 }
 
 void
@@ -337,15 +338,12 @@ Replica::applyClose(std::uint64_t period)
             for (const BatchRef &batch : shard.inbox) {
                 for (std::uint32_t p = 0; p < batch.coveredPeriods;
                      ++p) {
-                    const std::uint64_t covered =
-                        batch.period - batch.coveredPeriods + p;
-                    const std::vector<std::uint64_t> units =
-                        population_.materializePeriod(batch.tenant,
-                                                      covered);
-                    std::vector<std::uint64_t> &pending =
-                        pendingFor(shard, covered, M);
-                    for (std::size_t i = 0; i < M; ++i)
-                        pending[i] += units[i];
+                    PendingPeriod &entry = pendingFor(
+                        shard, batch.period - batch.coveredPeriods + p);
+                    population_.accumulatePeriod(batch.tenant,
+                                                 entry.period,
+                                                 entry.carrier,
+                                                 entry.units);
                 }
                 shard.samplesIngested +=
                     static_cast<std::uint64_t>(
@@ -356,18 +354,14 @@ Replica::applyClose(std::uint64_t period)
             if (!closing)
                 continue;
             shard.closedUnits.assign(M, 0);
-            for (std::size_t i = 0; i < shard.pendingPeriods.size();
-                 ++i) {
-                if (shard.pendingPeriods[i] != q)
-                    continue;
-                shard.closedUnits = std::move(shard.pending[i]);
-                shard.pending.erase(
-                    shard.pending.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-                shard.pendingPeriods.erase(
-                    shard.pendingPeriods.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-                break;
+            const auto closed = std::find_if(
+                shard.pending.begin(), shard.pending.end(),
+                [q](const PendingPeriod &entry) {
+                    return entry.period == q;
+                });
+            if (closed != shard.pending.end()) {
+                shard.closedUnits = std::move(closed->units);
+                shard.pending.erase(closed);
             }
         }
     });

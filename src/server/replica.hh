@@ -197,16 +197,25 @@ class Replica
     surrogateCounters() const;
 
   private:
+    /** One open period's accumulator and its diurnal carrier, which
+     *  is computed once when the period is first touched and shared
+     *  by every batch that covers it. */
+    struct PendingPeriod
+    {
+        std::uint64_t period = 0;
+        std::vector<double> carrier;
+        std::vector<std::uint64_t> units;
+    };
+
     /** Shard-local mutable state; only its owning chunk touches it
      *  inside a parallel region. */
     struct Shard
     {
         /** Engine ownership + fault recovery via the shared core. */
         std::unique_ptr<core::IncrementalSignalCore> core;
-        /** Materialized-but-unclosed demand: absolute period ->
-         *  per-sample units. */
-        std::vector<std::vector<std::uint64_t>> pending;
-        std::vector<std::uint64_t> pendingPeriods;
+        /** Materialized-but-unclosed demand, one entry per open
+         *  period (at most watermark + 1). */
+        std::vector<PendingPeriod> pending;
         /** Per-period unit sums of the in-window periods (deque
          *  parallel to the engine's window). */
         std::deque<std::uint64_t> windowUnitSums;
@@ -221,9 +230,8 @@ class Replica
     void offerLive(const BatchRef &batch,
                    durability::WalTickRecord &record);
     CloseOutcome closePeriod(std::uint64_t period);
-    static std::vector<std::uint64_t> &
-    pendingFor(Shard &shard, std::uint64_t period,
-               std::size_t period_samples);
+    PendingPeriod &pendingFor(Shard &shard,
+                              std::uint64_t period) const;
 
     const ServerConfig &config_;
     const TenantPopulation &population_;

@@ -335,16 +335,28 @@ SignalServer::runScrub(std::uint64_t period)
     // ticks up to this period have been applied.
     if (load.records.size() > period + 1)
         load.records.resize(period + 1);
+    // Re-materialize every in-window unit from the tenant population
+    // — never from the live replica's accumulators, which are what
+    // the scrub checks. The carriers are computed once per period up
+    // front so the shard-parallel derivation only reads them.
+    const durability::ScrubWindow window = durability::scrubWindow(
+        load.records, config_.windowPeriods, watermark_);
+    std::vector<std::vector<double>> carriers;
+    carriers.reserve(window.periods);
+    for (std::uint64_t i = 0; i < window.periods; ++i)
+        carriers.push_back(population_.diurnalCarrier(window.first + i));
     const durability::WindowDigests derived =
         durability::deriveWindowDigests(
             load.records, config_.shards, config_.windowPeriods,
             watermark_,
-            [this](std::uint64_t tenant, std::uint64_t p) {
-                std::uint64_t units = 0;
-                for (std::uint64_t sample :
-                     population_.materializePeriod(tenant, p))
-                    units += sample;
-                return units;
+            [this, &window, &carriers](std::uint64_t tenant,
+                                       std::uint64_t p) {
+                // Only the returned total is used; the per-sample
+                // slots are per-thread scratch.
+                thread_local std::vector<std::uint64_t> scratch;
+                scratch.resize(config_.periodSamples);
+                return population_.accumulatePeriod(
+                    tenant, p, carriers[p - window.first], scratch);
             });
     const durability::WindowDigests live = active().windowDigests();
     ++report_.scrubRuns;

@@ -117,45 +117,53 @@ TenantPopulation::baseUnits(std::uint64_t tenant) const
     return std::max<std::uint64_t>(1, units);
 }
 
-std::vector<std::uint64_t>
-TenantPopulation::materializePeriod(std::uint64_t tenant,
-                                    std::uint64_t period) const
+std::vector<double>
+TenantPopulation::diurnalCarrier(std::uint64_t period) const
 {
-    // Pure in (seed, tenant, period): the stream is re-derived from
-    // the root on every call, so materialization order — and hence
-    // shard/thread assignment — cannot change the samples.
-    Rng rng = base_.fork(tenant).fork(period + 1);
-    const std::uint64_t base = baseUnits(tenant);
     const std::size_t samples = config_.periodSamples;
-    std::vector<std::uint64_t> out(samples);
+    std::vector<double> carrier(samples);
     for (std::size_t s = 0; s < samples; ++s) {
         const double phase =
             (static_cast<double>(period) +
              static_cast<double>(s) / static_cast<double>(samples)) /
             kDiurnalPeriods;
-        const double diurnal = 1.0 + 0.5 * std::sin(2.0 * kPi * phase);
-        const double jitter = 0.75 + 0.5 * rng.uniform();
-        out[s] = static_cast<std::uint64_t>(std::llround(
-            static_cast<double>(base) * diurnal * jitter));
+        carrier[s] = 1.0 + 0.5 * std::sin(2.0 * kPi * phase);
     }
-    return out;
+    return carrier;
+}
+
+std::uint64_t
+TenantPopulation::accumulatePeriod(std::uint64_t tenant,
+                                   std::uint64_t period,
+                                   std::span<const double> carrier,
+                                   std::span<std::uint64_t> out) const
+{
+    // Pure in (seed, tenant, period): the stream is re-derived from
+    // the root on every call, so materialization order — and hence
+    // shard/thread assignment — cannot change the samples. The
+    // carrier is the same double per (period, sample) that an inline
+    // std::sin would produce, and the product keeps its operand
+    // order, so every sample is bit-identical to computing it here.
+    Rng rng = base_.fork(tenant).fork(period + 1);
+    const double base = static_cast<double>(baseUnits(tenant));
+    const std::size_t samples = config_.periodSamples;
+    std::uint64_t added = 0;
+    for (std::size_t s = 0; s < samples; ++s) {
+        const double jitter = 0.75 + 0.5 * rng.uniform();
+        const auto units = static_cast<std::uint64_t>(
+            std::llround(base * carrier[s] * jitter));
+        out[s] += units;
+        added += units;
+    }
+    return added;
 }
 
 std::vector<std::uint64_t>
-TenantPopulation::materializeBatch(const BatchRef &batch) const
+TenantPopulation::materializePeriod(std::uint64_t tenant,
+                                    std::uint64_t period) const
 {
-    std::vector<std::uint64_t> out(
-        static_cast<std::size_t>(batch.coveredPeriods) *
-        config_.periodSamples);
-    for (std::uint32_t p = 0; p < batch.coveredPeriods; ++p) {
-        const std::uint64_t period =
-            batch.period - batch.coveredPeriods + p;
-        const std::vector<std::uint64_t> samples =
-            materializePeriod(batch.tenant, period);
-        std::copy(samples.begin(), samples.end(),
-                  out.begin() + static_cast<std::ptrdiff_t>(
-                                    p * config_.periodSamples));
-    }
+    std::vector<std::uint64_t> out(config_.periodSamples, 0);
+    accumulatePeriod(tenant, period, diurnalCarrier(period), out);
     return out;
 }
 

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,17 +117,33 @@ class TenantPopulation
     BatchRef batchAt(std::uint64_t tenant, std::uint64_t period) const;
 
     /**
+     * The diurnal carrier of @p period: periodSamples factors
+     * `1 + 0.5 sin(2 pi phase)` over a 24-period day. It depends
+     * only on (period, sample), so every tenant shares it; callers
+     * compute it once per period and pass it to accumulatePeriod().
+     */
+    std::vector<double> diurnalCarrier(std::uint64_t period) const;
+
+    /**
+     * Add @p tenant's demand units for @p period into @p out
+     * (periodSamples slots) and return the units added. @p carrier
+     * must be diurnalCarrier(period). Allocation-free, const, and
+     * pure in (seed, tenant, period), so it is safe to call
+     * concurrently on disjoint outputs.
+     */
+    std::uint64_t accumulatePeriod(std::uint64_t tenant,
+                                   std::uint64_t period,
+                                   std::span<const double> carrier,
+                                   std::span<std::uint64_t> out) const;
+
+    /**
      * Materialize @p tenant's demand for @p period: periodSamples
      * integer demand units, pure in (seed, tenant, period). The
-     * shape is a diurnal sinusoid over a 24-period day plus
-     * per-sample jitter, scaled by the tenant's Zipf weight.
+     * shape is the diurnal carrier times per-sample jitter, scaled
+     * by the tenant's Zipf weight.
      */
     std::vector<std::uint64_t>
     materializePeriod(std::uint64_t tenant, std::uint64_t period) const;
-
-    /** Sum of materializePeriod over a batch's covered periods,
-     *  per sample offset — what a shard ingests per batch. */
-    std::vector<std::uint64_t> materializeBatch(const BatchRef &batch) const;
 
     /** Mean demand units per sample for @p tenant (the diurnal
      *  carrier's midline before jitter). */

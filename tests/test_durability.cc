@@ -24,6 +24,7 @@
 #include "resilience/signals.hh"
 #include "server/replica.hh"
 #include "server/signalserver.hh"
+#include "server/tenants.hh"
 
 namespace fairco2::server
 {
@@ -391,6 +392,63 @@ TEST(Durability, ScrubDigestsMatchTheLiveReplica)
     const std::uint64_t horizon = config.durationPeriods + watermark;
     EXPECT_EQ(report.scrubRuns, (horizon - 1) / 3);
     EXPECT_EQ(report.scrubMismatches, 0u);
+}
+
+TEST(Durability, ScrubComparisonCatchesOneUnitOfDrift)
+{
+    // Drive a replica live, then re-derive its window digests from the
+    // records it emitted, as the scrub does. The honest derivation
+    // matches; one extra unit for one in-window tenant must not.
+    const ServerConfig config = durableConfig();
+    TenantPopulation::Config pc;
+    pc.tenants = config.tenants;
+    pc.zipfS = config.zipfS;
+    pc.seed = config.seed;
+    pc.periodSamples = config.periodSamples;
+    pc.maxBatchPeriods = config.maxBatchPeriods;
+    pc.meanDemandUnits = config.meanDemandUnits;
+    const TenantPopulation population(pc);
+    Replica replica(config, population);
+    std::vector<durability::WalTickRecord> records;
+    for (std::uint64_t p = 0; p < config.durationPeriods; ++p) {
+        records.push_back(replica.applyArrivalsLive(p));
+        replica.applyClose(p);
+    }
+
+    const auto honest = [&population](std::uint64_t tenant,
+                                      std::uint64_t period) {
+        std::uint64_t units = 0;
+        for (std::uint64_t sample :
+             population.materializePeriod(tenant, period))
+            units += sample;
+        return units;
+    };
+    const std::uint64_t watermark = replica.watermark();
+    EXPECT_EQ(durability::deriveWindowDigests(
+                  records, config.shards, config.windowPeriods,
+                  watermark, honest),
+              replica.windowDigests());
+
+    const durability::ScrubWindow window = durability::scrubWindow(
+        records, config.windowPeriods, watermark);
+    ASSERT_GT(window.periods, 0u);
+    // A tenant with an admitted batch covering the newest in-window
+    // period.
+    const std::uint64_t newest = window.first + window.periods - 1;
+    std::uint64_t drifted = ~std::uint64_t{0};
+    for (const auto &record : records)
+        for (const auto &batch : record.admitted)
+            if (batch.period > newest &&
+                batch.period - batch.coveredPeriods <= newest)
+                drifted = batch.tenant;
+    ASSERT_NE(drifted, ~std::uint64_t{0});
+    EXPECT_FALSE(durability::deriveWindowDigests(
+                     records, config.shards, config.windowPeriods,
+                     watermark,
+                     [&](std::uint64_t tenant, std::uint64_t period) {
+                         return honest(tenant, period) +
+                             (tenant == drifted ? 1 : 0);
+                     }) == replica.windowDigests());
 }
 
 TEST(Durability, ScrubDisabledByZeroPeriod)

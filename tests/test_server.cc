@@ -2,7 +2,7 @@
  * @file
  * Tests for the sharded live-signal server: Zipf weights, the
  * deterministic event loop, token-bucket admission, tenant-demand
- * purity, and the server's headline contracts — the published fleet
+ * purity and the shared-carrier kernel's bit-identity, and the server's headline contracts — the published fleet
  * signal is bit-identical across shard and thread counts, survives
  * injected cache corruption unchanged, degrades under admission
  * overload, and stays readable from concurrent wait-free snapshot
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "resilience/faultplan.hh"
 #include "server/admission.hh"
 #include "server/eventloop.hh"
@@ -318,6 +320,74 @@ TEST(Tenants, HeavierRanksCarryMoreBaseUnits)
     const TenantPopulation pop(config);
     EXPECT_GT(pop.baseUnits(0), pop.baseUnits(50));
     EXPECT_GE(pop.baseUnits(99), 1u); // floor of one unit
+}
+
+/** The per-sample demand formula with the diurnal carrier computed
+ *  inline, one std::sin per sample — the reference the shared-carrier
+ *  kernel must reproduce bit for bit. */
+std::vector<std::uint64_t>
+inlineCarrierPeriod(const TenantPopulation &pop, std::uint64_t tenant,
+                    std::uint64_t period)
+{
+    constexpr double kDiurnalPeriods = 24.0;
+    constexpr double kPi = 3.14159265358979323846;
+    Rng rng = Rng(pop.config().seed).fork(tenant).fork(period + 1);
+    const std::uint64_t base = pop.baseUnits(tenant);
+    const std::size_t samples = pop.config().periodSamples;
+    std::vector<std::uint64_t> out(samples);
+    for (std::size_t s = 0; s < samples; ++s) {
+        const double phase =
+            (static_cast<double>(period) +
+             static_cast<double>(s) / static_cast<double>(samples)) /
+            kDiurnalPeriods;
+        const double diurnal = 1.0 + 0.5 * std::sin(2.0 * kPi * phase);
+        const double jitter = 0.75 + 0.5 * rng.uniform();
+        out[s] = static_cast<std::uint64_t>(std::llround(
+            static_cast<double>(base) * diurnal * jitter));
+    }
+    return out;
+}
+
+TEST(Tenants, SharedCarrierKernelIsBitIdenticalToInlineFormula)
+{
+    for (std::uint64_t seed : {1ull, 42ull, 0x9e3779b97f4a7c15ull}) {
+        TenantPopulation::Config config;
+        config.tenants = 1000;
+        config.seed = seed;
+        const TenantPopulation pop(config);
+        for (std::uint64_t period :
+             {0ull, 1ull, 23ull, 24ull, 1000ull, 1ull << 20}) {
+            const std::vector<double> carrier =
+                pop.diurnalCarrier(period);
+            ASSERT_EQ(carrier.size(), config.periodSamples);
+            for (std::uint64_t t = 0; t < config.tenants; ++t) {
+                const std::vector<std::uint64_t> want =
+                    inlineCarrierPeriod(pop, t, period);
+                ASSERT_EQ(pop.materializePeriod(t, period), want)
+                    << "seed " << seed << " tenant " << t
+                    << " period " << period;
+
+                std::vector<std::uint64_t> zeroed(want.size(), 0);
+                std::uint64_t total = 0;
+                for (std::uint64_t units : want)
+                    total += units;
+                ASSERT_EQ(pop.accumulatePeriod(t, period, carrier,
+                                               zeroed),
+                          total);
+                ASSERT_EQ(zeroed, want);
+
+                // Accumulation adds on top of what is already there.
+                std::vector<std::uint64_t> filled(want.size());
+                for (std::size_t s = 0; s < filled.size(); ++s)
+                    filled[s] = 1000 * t + s;
+                ASSERT_EQ(pop.accumulatePeriod(t, period, carrier,
+                                               filled),
+                          total);
+                for (std::size_t s = 0; s < filled.size(); ++s)
+                    ASSERT_EQ(filled[s], 1000 * t + s + want[s]);
+            }
+        }
+    }
 }
 
 // ---- Server contracts ----------------------------------------------

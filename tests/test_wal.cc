@@ -5,11 +5,13 @@
  * integrity taxonomy (sealed damage always throws; tail damage drops
  * the torn suffix with a named diagnostic and never yields a wrong
  * value), tail adoption on recovery, the compression codec path, and
- * the scrub digest helpers.
+ * the scrub digest helpers, including the shard-parallel derivation's
+ * thread-count independence and its sensitivity to one unit of drift.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "cache/backend.hh"
+#include "common/parallel.hh"
 #include "durability/wal.hh"
 
 namespace fairco2::durability
@@ -445,6 +448,119 @@ TEST(WalDigest, RoutesUnitsByTenantModShards)
     EXPECT_EQ(derived.fleet, windowSumDigest(1, {300}));
     EXPECT_EQ(derived.shard[0], windowSumDigest(1, {0}));
     EXPECT_EQ(derived.shard[1], windowSumDigest(1, {300}));
+}
+
+/** A log of @p periods arrival ticks whose batches spread over 41
+ *  tenants and cover one to four periods each. */
+std::vector<WalTickRecord>
+digestLog(std::uint64_t periods)
+{
+    std::vector<WalTickRecord> records;
+    for (std::uint64_t p = 0; p < periods; ++p) {
+        WalTickRecord record;
+        record.period = p;
+        for (std::uint64_t i = 0; i < 7; ++i) {
+            WalBatch batch;
+            batch.tenant = (p * 7 + i * 13) % 41;
+            batch.period = p;
+            batch.coveredPeriods = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(1 + (p + i) % 4, p));
+            if (batch.coveredPeriods > 0)
+                record.admitted.push_back(batch);
+        }
+        records.push_back(record);
+    }
+    return records;
+}
+
+/** A pure stand-in for the tenant population's materialization. */
+std::uint64_t
+fakeUnits(std::uint64_t tenant, std::uint64_t period)
+{
+    return (tenant + 1) * 1000 + period * 7 + (tenant * period) % 13;
+}
+
+/** The derivation written as one serial pass over the log. */
+WindowDigests
+serialDigests(const std::vector<WalTickRecord> &records,
+              std::size_t shards, std::uint64_t window_periods,
+              std::uint64_t watermark)
+{
+    const std::uint64_t last = records.back().period;
+    const std::uint64_t closed =
+        last + 1 > watermark ? last + 1 - watermark : 0;
+    const std::uint64_t window = std::min(window_periods, closed);
+    const std::uint64_t first = closed - window;
+    std::vector<std::uint64_t> fleet(window, 0);
+    std::vector<std::vector<std::uint64_t>> shard_sums(
+        shards, std::vector<std::uint64_t>(window, 0));
+    for (const WalTickRecord &record : records)
+        for (const WalBatch &batch : record.admitted)
+            for (std::uint32_t p = 0; p < batch.coveredPeriods; ++p) {
+                const std::uint64_t covered =
+                    batch.period - batch.coveredPeriods + p;
+                if (covered < first || covered >= first + window)
+                    continue;
+                const std::uint64_t units =
+                    fakeUnits(batch.tenant, covered);
+                fleet[covered - first] += units;
+                shard_sums[batch.tenant % shards][covered - first] +=
+                    units;
+            }
+    WindowDigests out;
+    out.fleet = windowSumDigest(closed, fleet);
+    for (const auto &sums : shard_sums)
+        out.shard.push_back(windowSumDigest(closed, sums));
+    return out;
+}
+
+TEST(WalDigest, ParallelDerivationIsThreadCountIndependent)
+{
+    const std::vector<WalTickRecord> records = digestLog(30);
+    const WindowDigests want = serialDigests(records, 5, 6, 5);
+    ASSERT_EQ(want.shard.size(), 5u);
+    const std::size_t saved = parallel::threadCount();
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        parallel::setThreadCount(threads);
+        const WindowDigests got =
+            deriveWindowDigests(records, 5, 6, 5, fakeUnits);
+        EXPECT_EQ(got, want) << threads << " threads";
+    }
+    parallel::setThreadCount(saved);
+}
+
+TEST(WalDigest, OneUnitOfDriftChangesOnlyItsShardAndTheFleet)
+{
+    // The scrub comparison must be able to fail: one extra unit for
+    // one tenant moves that tenant's shard digest and the fleet
+    // digest, and nothing else.
+    const std::vector<WalTickRecord> records = digestLog(30);
+    const ScrubWindow window = scrubWindow(records, 6, 5);
+    ASSERT_EQ(window.periods, 6u);
+    // A tenant with a batch covering the newest in-window period.
+    const std::uint64_t newest = window.first + window.periods - 1;
+    std::uint64_t tenant = ~std::uint64_t{0};
+    for (const WalTickRecord &record : records)
+        for (const WalBatch &batch : record.admitted)
+            if (batch.period > newest &&
+                batch.period - batch.coveredPeriods <= newest)
+                tenant = batch.tenant;
+    ASSERT_NE(tenant, ~std::uint64_t{0});
+
+    const WindowDigests honest =
+        deriveWindowDigests(records, 5, 6, 5, fakeUnits);
+    const WindowDigests drifted = deriveWindowDigests(
+        records, 5, 6, 5, [tenant](std::uint64_t t, std::uint64_t p) {
+            return fakeUnits(t, p) + (t == tenant ? 1 : 0);
+        });
+    EXPECT_FALSE(drifted == honest);
+    EXPECT_NE(drifted.fleet, honest.fleet);
+    for (std::size_t s = 0; s < 5; ++s) {
+        if (s == tenant % 5)
+            EXPECT_NE(drifted.shard[s], honest.shard[s]);
+        else
+            EXPECT_EQ(drifted.shard[s], honest.shard[s]) << s;
+    }
 }
 
 } // namespace
