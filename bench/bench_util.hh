@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/backend.hh"
+#include "cache/compr_api.hh"
 #include "common/flags.hh"
 #include "common/obs.hh"
 #include "common/parallel.hh"
@@ -61,8 +61,7 @@ struct CheckpointFlags
 {
     std::string checkpoint;
     std::string resume;
-    std::string compress =
-        cache::codecName(cache::defaultBackend().codec);
+    std::string compress = cache::codecName(cache::Codec::Identity);
     std::int64_t chunkTrials = 0;
     std::int64_t stopAfterChunks = 0;
 };

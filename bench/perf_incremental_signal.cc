@@ -8,28 +8,23 @@
  * capacity-0 engine that re-solves every period sub-game on every
  * window advance (the from-scratch reference). Publishes the newest
  * period on each advance from both, asserts the two streams are
- * byte-identical, and records the per-advance speedup into
- * bench_out/perf_summary.json as `"speedup_x"`.
+ * byte-identical, and records the warm-vs-recompute per-advance
+ * speedup into bench_out/perf_summary.json as `"speedup_x"`, next to
+ * both engines' mean per-advance cost (`"warm_advance_us"`,
+ * `"recompute_advance_us"`).
  *
  * A second pass sweeps the sub-game cache capacity and records the
- * resulting `shapley.cache.*` hit/miss/eviction counts as a
- * `"cache_curve"` block in the same summary entry, so hit rate vs
- * capacity is a single-file read when sizing the cache. Each sweep
- * point runs the identity and lz blob codecs back to back (same key
- * stream, so the hit rate is equal by construction) and records raw
- * vs compressed resident bytes as windows-per-MiB; the summary's
- * `"compressed_windows_per_mib_ratio"` is the lz-over-raw density
- * ratio at the flag capacity.
+ * resulting `shapley.cache.*` hit/miss/eviction counts and resident
+ * bytes as a `"cache_curve"` block in the same summary entry, so hit
+ * rate vs capacity is a single-file read when sizing the cache.
  */
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 #include <vector>
 
 #include "bench_util.hh"
-#include "cache/backend.hh"
 #include "common/flags.hh"
 #include "common/rng.hh"
 #include "shapley/incremental.hh"
@@ -45,21 +40,16 @@ struct StreamOutcome
     std::vector<double> published; //!< newest-period intensities
     double wallSeconds = 0.0;
     std::size_t advances = 0;
-    std::size_t entries = 0;   //!< resident cache entries at the end
     shapley::CacheStats stats; //!< final engine cache counters
-};
 
-/** Resident sliding windows per MiB of cache memory: every advance
- *  keeps one period-solve and one window-phi entry, so entry pairs
- *  per stored byte is the cache's window density. */
-double
-windowsPerMib(std::size_t entries, std::uint64_t stored_bytes)
-{
-    if (stored_bytes == 0)
-        return 0.0;
-    return (static_cast<double>(entries) / 2.0) * 1048576.0 /
-        static_cast<double>(stored_bytes);
-}
+    double
+    advanceMicros() const
+    {
+        return advances > 0
+            ? wallSeconds * 1e6 / static_cast<double>(advances)
+            : 0.0;
+    }
+};
 
 /** Drive one engine over the whole trace, timing only the window
  *  advances (the steady-state cost of a live deployment). */
@@ -88,7 +78,6 @@ streamTrace(const trace::TimeSeries &demand,
         ++outcome.advances;
     }
     outcome.wallSeconds = advance_seconds;
-    outcome.entries = engine.cacheSize();
     outcome.stats = engine.cacheStats();
     return outcome;
 }
@@ -103,10 +92,6 @@ main(int argc, char **argv)
     std::int64_t period_samples = 720;
     std::int64_t cache_capacity = 64;
     double days = 7.0;
-    std::string backend_text =
-        cache::backendSpec(cache::defaultBackend());
-    std::string compress_text =
-        cache::codecName(cache::defaultBackend().codec);
     FlagSet flags("perf_incremental_signal: incremental vs "
                   "from-scratch sliding-window Temporal Shapley "
                   "over a week-long trace");
@@ -117,12 +102,6 @@ main(int argc, char **argv)
                  "telemetry samples per period");
     flags.addInt("cache-capacity", &cache_capacity,
                  "sub-game memo entries for the memoizing engine");
-    flags.addString("cache-backend", &backend_text,
-                    "memo-cache backend spec policy[,alloc[,lock]] "
-                    "for the measured engine");
-    flags.addString("cache-compress", &compress_text,
-                    "memo-cache blob codec for the measured engine: "
-                    "identity | lz");
     flags.addDouble("days", &days, "trace length in days");
     std::int64_t threads = 0;
     obs::ObsFlags obs_flags;
@@ -138,17 +117,6 @@ main(int argc, char **argv)
                      "positive\n");
         return 2;
     }
-    cache::BackendConfig backend;
-    try {
-        backend = cache::parseBackendSpec(backend_text);
-        backend.codec = cache::parseCodec(compress_text);
-    } catch (const std::invalid_argument &error) {
-        std::fprintf(stderr,
-                     "error: --cache-backend/--cache-compress: "
-                     "%s\n",
-                     error.what());
-        return 2;
-    }
 
     // Week-long trace at a 5 s step: one-hour periods of 720
     // samples, a one-day 24-period window, hourly window advances.
@@ -162,10 +130,9 @@ main(int argc, char **argv)
     // Materialize the trace in integer demand units, matching the
     // live server's telemetry contract (src/server/tenants.hh:
     // demand is integer units so the fleet aggregate is an
-    // associative integer sum). The sub-game tables a production
-    // cache holds are built from these quantized samples, so the
-    // density sweep below measures the deployed representation, not
-    // the generator's continuous intermediate.
+    // associative integer sum), so the sweep below measures the
+    // deployed representation, not the generator's continuous
+    // intermediate.
     std::vector<double> quantized(generated.size());
     for (std::size_t i = 0; i < generated.size(); ++i)
         quantized[i] = std::round(generated[i]);
@@ -179,7 +146,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(period_samples);
     config.stepSeconds = azure_config.stepSeconds;
     config.innerSplits = {12};
-    config.backend = backend;
     const double pool_grams = 1.0e6;
 
     // Best of three repetitions per engine: the timed region is a
@@ -216,10 +182,12 @@ main(int argc, char **argv)
     std::printf("perf_incremental_signal: %zu samples, %zu window "
                 "advances\n",
                 demand.size(), incremental.advances);
-    std::printf("  incremental (cache %lld): %.4f s  "
-                "from-scratch: %.4f s  speedup: %.2fx\n",
+    std::printf("  incremental (cache %lld): %.4f s (%.1f us/advance)"
+                "  from-scratch: %.4f s (%.1f us/advance)  "
+                "speedup: %.2fx\n",
                 static_cast<long long>(cache_capacity),
-                incremental.wallSeconds, full.wallSeconds, speedup);
+                incremental.wallSeconds, incremental.advanceMicros(),
+                full.wallSeconds, full.advanceMicros(), speedup);
     std::printf("  published streams byte-identical over %zu "
                 "samples\n",
                 incremental.published.size());
@@ -227,34 +195,17 @@ main(int argc, char **argv)
     // Hit-rate-vs-capacity sweep: rerun the stream at a ladder of
     // capacities and keep each run's final shapley.cache.*
     // counters. Every capacity must publish the same byte-identical
-    // stream — the cache only ever changes cost, never output. Each
-    // point also reruns with the lz codec (identical key stream, so
-    // identical hit rate) to measure compressed vs raw density.
+    // stream — the cache only ever changes cost, never output.
     constexpr std::size_t kCurveCapacities[] = {4, 16, 64, 256};
-    double ratio_at_flag_capacity = 0.0;
     std::ostringstream curve;
     curve << "\"cache_curve\": [";
     bool first_point = true;
     for (const std::size_t capacity : kCurveCapacities) {
-        config.backend.codec = cache::Codec::Identity;
         const auto point = best(capacity);
-        config.backend.codec = cache::Codec::Lz;
-        const auto lz_point = best(capacity);
-        config.backend.codec = backend.codec;
-        if (point.published != full.published ||
-            lz_point.published != full.published) {
+        if (point.published != full.published) {
             std::fprintf(stderr,
                          "FAIL: capacity-%zu engine diverged from "
                          "the from-scratch stream\n",
-                         capacity);
-            return 1;
-        }
-        if (lz_point.stats.hits != point.stats.hits ||
-            lz_point.entries != point.entries) {
-            std::fprintf(stderr,
-                         "FAIL: capacity-%zu codecs disagree on "
-                         "hits/entries — density ratio would not "
-                         "be at equal hit rate\n",
                          capacity);
             return 1;
         }
@@ -264,18 +215,9 @@ main(int argc, char **argv)
             ? static_cast<double>(point.stats.hits) /
                 static_cast<double>(lookups)
             : 0.0;
-        const double raw_density =
-            windowsPerMib(point.entries, point.stats.storedBytes);
-        const double lz_density = windowsPerMib(
-            lz_point.entries, lz_point.stats.storedBytes);
-        const double density_ratio =
-            raw_density > 0.0 ? lz_density / raw_density : 0.0;
-        if (capacity ==
-            static_cast<std::size_t>(cache_capacity))
-            ratio_at_flag_capacity = density_ratio;
         std::printf("  cache %4zu: hits %6llu  misses %6llu  "
                     "evictions %6llu  hit-rate %.3f  %.4f s  "
-                    "win/MiB raw %.0f lz %.0f (%.2fx)\n",
+                    "resident %llu B\n",
                     capacity,
                     static_cast<unsigned long long>(
                         point.stats.hits),
@@ -283,8 +225,9 @@ main(int argc, char **argv)
                         point.stats.misses),
                     static_cast<unsigned long long>(
                         point.stats.evictions),
-                    hit_rate, point.wallSeconds, raw_density,
-                    lz_density, density_ratio);
+                    hit_rate, point.wallSeconds,
+                    static_cast<unsigned long long>(
+                        point.stats.rawBytes));
         if (!first_point)
             curve << ", ";
         first_point = false;
@@ -294,40 +237,16 @@ main(int argc, char **argv)
               << ", \"evictions\": " << point.stats.evictions
               << ", \"hit_rate\": " << hit_rate
               << ", \"wall_s\": " << point.wallSeconds
-              << ", \"raw_bytes\": " << point.stats.rawBytes
-              << ", \"compressed_bytes\": "
-              << lz_point.stats.storedBytes
-              << ", \"windows_per_mib_raw\": " << raw_density
-              << ", \"windows_per_mib_lz\": " << lz_density << "}";
+              << ", \"resident_bytes\": " << point.stats.rawBytes
+              << "}";
     }
     curve << "]";
 
-    // A --cache-capacity outside the sweep ladder still owes the
-    // summary its density ratio: measure that capacity directly.
-    if (ratio_at_flag_capacity == 0.0) {
-        config.backend.codec = cache::Codec::Identity;
-        const auto raw_point =
-            best(static_cast<std::size_t>(cache_capacity));
-        config.backend.codec = cache::Codec::Lz;
-        const auto lz_point =
-            best(static_cast<std::size_t>(cache_capacity));
-        config.backend.codec = backend.codec;
-        const double raw_density = windowsPerMib(
-            raw_point.entries, raw_point.stats.storedBytes);
-        const double lz_density = windowsPerMib(
-            lz_point.entries, lz_point.stats.storedBytes);
-        ratio_at_flag_capacity =
-            raw_density > 0.0 ? lz_density / raw_density : 0.0;
-    }
-    std::printf("  compressed windows-per-MiB ratio at capacity "
-                "%lld: %.2fx\n",
-                static_cast<long long>(cache_capacity),
-                ratio_at_flag_capacity);
-
     std::ostringstream extra;
     extra << "\"speedup_x\": " << speedup
-          << ", \"compressed_windows_per_mib_ratio\": "
-          << ratio_at_flag_capacity << ", " << curve.str();
+          << ", \"warm_advance_us\": " << incremental.advanceMicros()
+          << ", \"recompute_advance_us\": " << full.advanceMicros()
+          << ", " << curve.str();
     bench::recordPerf("perf_incremental_signal.incremental",
                       incremental.advances,
                       incremental.wallSeconds, 0, extra.str());

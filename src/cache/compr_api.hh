@@ -1,16 +1,16 @@
 /**
  * @file
- * Compressor plug-in API for the memo/checkpoint blob stores, after
- * the uszram `compr-api.h` pattern: a compressor is a stateless
- * struct with a `kName`, a `compress` that returns the stored bytes,
- * and a strict `decompress` that either reproduces the raw bytes
- * exactly or throws CorruptBlockError. Two backends ship:
+ * Payload codecs for the WAL and the checkpoint files, after the
+ * uszram `compr-api.h` pattern: a compressor is a stateless struct
+ * with a `kName`, a `compress` that returns the stored bytes, and a
+ * strict `decompress` that either reproduces the raw bytes exactly
+ * or throws CorruptBlockError. Two ship, selected at run time by
+ * Codec:
  *
- *  - IdentityCompr: stored bytes == raw bytes (the reference build);
+ *  - IdentityCompr: stored bytes == raw bytes (the default);
  *  - LzCompr: word-wise XOR-delta followed by a deterministic greedy
- *    LZSS coder (12-bit offsets, 4-bit lengths), tuned for the
- *    zero-heavy fixed-width serialization of memoized sub-game
- *    tables.
+ *    LZSS coder (12-bit offsets, 4-bit lengths), tuned for
+ *    zero-heavy fixed-width binary records.
  *
  * Every stored bit is live: LzCompr zeroes unused trailing flag bits
  * on encode and the decoder rejects them when set, rejects trailing
@@ -31,6 +31,21 @@
 
 namespace fairco2::cache
 {
+
+/** Which compressor a WAL record or checkpoint payload uses; the
+ *  numeric values are the on-disk codec ids. */
+enum class Codec
+{
+    Identity,
+    Lz,
+};
+
+/** The codec's flag spelling: `identity` or `lz`. */
+const char *codecName(Codec codec);
+
+/** Parse a codec flag value; throws std::invalid_argument naming the
+ *  valid spellings on anything else. */
+Codec parseCodec(const std::string &name);
 
 /** A stored block failed to decode (truncated or corrupt bytes). */
 class CorruptBlockError : public std::runtime_error

@@ -3,13 +3,12 @@
  * LzCompr implementation: per-block transform selection in front of
  * a deterministic greedy LZSS coder.
  *
- * The memo cache serializes sub-game tables as fixed-width 8-byte
- * words (u64 indices and counts, then IEEE doubles), grouped by type
- * into homogeneous sections. No single byte transform wins on both:
- * a word-wise XOR-delta plus byte-plane shuffle turns small-integer
- * sections into long zero runs, but it destroys the exact 8-byte
- * duplicates (repeated usage values) that dominate the redundancy of
- * the double sections. So the encoder tries three reversible
+ * The WAL and checkpoint payloads are fixed-width 8-byte words
+ * (u64 indices and counts, IEEE doubles). No single byte transform
+ * wins on both kinds: a word-wise XOR-delta plus byte-plane shuffle
+ * turns small-integer runs into long zero runs, but it destroys the
+ * exact 8-byte duplicates that dominate the redundancy of double
+ * runs. So the encoder tries three reversible
  * pipelines — plain, XOR-delta, and XOR-delta + byte-plane shuffle —
  * LZSS-codes each, and keeps the smallest, spending one mode byte up
  * front. Ties resolve to the lowest mode, so encoding stays
@@ -28,9 +27,28 @@
 #include "cache/compr_api.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fairco2::cache
 {
+
+const char *
+codecName(Codec codec)
+{
+    return codec == Codec::Identity ? IdentityCompr::kName
+                                    : LzCompr::kName;
+}
+
+Codec
+parseCodec(const std::string &name)
+{
+    if (name == IdentityCompr::kName)
+        return Codec::Identity;
+    if (name == LzCompr::kName)
+        return Codec::Lz;
+    throw std::invalid_argument("unknown cache codec '" + name +
+                                "' (valid: identity, lz)");
+}
 
 namespace
 {

@@ -35,8 +35,6 @@ LiveIntensityService::LiveIntensityService(const Config &config)
                 config_.splits.begin() + 1, config_.splits.end());
         core_config.cacheCapacity =
             config_.incrementalCacheCapacity;
-        core_config.cacheBackend =
-            config_.incrementalCacheBackend;
         core_config.poolGramsPerSecond =
             config_.poolGramsPerSecond;
         core_ = std::make_unique<IncrementalSignalCore>(core_config);

@@ -63,9 +63,6 @@ class LiveIntensityService
         /** Sub-game cache capacity in incremental mode (0 disables
          *  memoization). */
         std::size_t incrementalCacheCapacity = 64;
-        /** Memo-cache blob-store backend in incremental mode. */
-        cache::BackendConfig incrementalCacheBackend =
-            cache::defaultBackend();
     };
 
     LiveIntensityService();

@@ -19,7 +19,6 @@ engineConfigFor(const IncrementalSignalCore::Config &config)
     sc.engine.stepSeconds = config.stepSeconds;
     sc.engine.innerSplits = config.innerSplits;
     sc.engine.cacheCapacity = config.cacheCapacity;
-    sc.engine.backend = config.cacheBackend;
     sc.engine.seed = config.seed;
     sc.model = config.surrogateModel;
     sc.tolerance = config.surrogateTol;

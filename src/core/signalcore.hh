@@ -51,9 +51,6 @@ class IncrementalSignalCore
         std::vector<std::size_t> innerSplits{};
         /** Sub-game cache capacity (0 = memoization off). */
         std::size_t cacheCapacity = 64;
-        /** Blob-store backend for the memo cache; every combination
-         *  publishes byte-identical signals. */
-        cache::BackendConfig cacheBackend = cache::defaultBackend();
         /** Pool policy: grams per wall-clock second, amortized over
          *  the window — windowPoolGrams() applies it. */
         double poolGramsPerSecond = 1.0;
@@ -133,7 +130,7 @@ class IncrementalSignalCore
         return publishNewest(windowPoolGrams());
     }
 
-    /** Corrupt the engine's most-recently-used cache entry (fault
+    /** Corrupt the engine's oldest resident cache entry (fault
      *  injection hook); false when the cache is empty. */
     bool corruptCacheEntryForTest()
     {

@@ -56,7 +56,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/backend.hh"
+#include "cache/compr_api.hh"
 #include "common/errors.hh"
 
 namespace fairco2::durability

@@ -197,8 +197,7 @@ attributeIncremental(const trace::TimeSeries &window,
                      std::size_t period_samples,
                      const std::vector<std::size_t> &inner_splits,
                      std::size_t cache_capacity,
-                     const resilience::FaultPlan *plan,
-                     const cache::BackendConfig &backend)
+                     const resilience::FaultPlan *plan)
 {
     FAIRCO2_SPAN("pipeline.attribute.incremental");
     AttributionOutput out;
@@ -218,7 +217,6 @@ attributeIncremental(const trace::TimeSeries &window,
     config.stepSeconds = window.stepSeconds();
     config.innerSplits = inner_splits;
     config.cacheCapacity = cache_capacity;
-    config.backend = backend;
     shapley::IncrementalTemporalEngine engine(config);
 
     // Each sliding window spans W*M of the n samples; its pool share
@@ -239,8 +237,7 @@ attributeSurrogate(
     const std::vector<std::size_t> &inner_splits,
     std::size_t cache_capacity,
     std::shared_ptr<const surrogate::SurrogateModel> model,
-    double tolerance, const resilience::FaultPlan *plan,
-    const cache::BackendConfig &backend)
+    double tolerance, const resilience::FaultPlan *plan)
 {
     FAIRCO2_SPAN("pipeline.attribute.surrogate");
     AttributionOutput out;
@@ -260,7 +257,6 @@ attributeSurrogate(
     config.engine.stepSeconds = window.stepSeconds();
     config.engine.innerSplits = inner_splits;
     config.engine.cacheCapacity = cache_capacity;
-    config.engine.backend = backend;
     config.model = std::move(model);
     config.tolerance = tolerance;
     shapley::SurrogateTemporalEngine engine(config);

@@ -42,7 +42,6 @@
 #include <memory>
 #include <vector>
 
-#include "cache/backend.hh"
 #include "common/rng.hh"
 #include "common/surrogate.hh"
 #include "trace/timeseries.hh"
@@ -113,8 +112,7 @@ attributeProportional(const trace::TimeSeries &window,
  * stays unattributed, so attributed + unattributed == pool by
  * construction. @p inner_splits shape each period's inner hierarchy
  * and @p cache_capacity bounds the sub-game cache (0 = memoization
- * off); @p backend picks the blob-store combination holding it —
- * every combination yields byte-identical output. When @p plan
+ * off) — every capacity yields byte-identical output. When @p plan
  * carries a nonzero `cache-corrupt` probability,
  * cache entries are deterministically corrupted before some advances;
  * the resulting CacheIntegrityError propagates to the caller (the
@@ -127,9 +125,7 @@ attributeIncremental(const trace::TimeSeries &window,
                      std::size_t period_samples,
                      const std::vector<std::size_t> &inner_splits,
                      std::size_t cache_capacity,
-                     const resilience::FaultPlan *plan = nullptr,
-                     const cache::BackendConfig &backend =
-                         cache::defaultBackend());
+                     const resilience::FaultPlan *plan = nullptr);
 
 /**
  * Surrogate rung: attributeIncremental's sliding replay driven
@@ -148,8 +144,7 @@ AttributionOutput attributeSurrogate(
     const std::vector<std::size_t> &inner_splits,
     std::size_t cache_capacity,
     std::shared_ptr<const surrogate::SurrogateModel> model,
-    double tolerance, const resilience::FaultPlan *plan = nullptr,
-    const cache::BackendConfig &backend = cache::defaultBackend());
+    double tolerance, const resilience::FaultPlan *plan = nullptr);
 
 } // namespace fairco2::pipeline
 

@@ -52,7 +52,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "cache/backend.hh"
+#include "cache/compr_api.hh"
 #include "common/errors.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -109,9 +109,8 @@ struct CheckpointOptions
     std::uint64_t chunkTrials = 0; //!< trials per chunk (0: one chunk)
     /** Payload codec for *written* snapshots (identity keeps the v1
      *  file format byte for byte); resumes auto-detect from the
-     *  file, so any codec resumes any file. Defaults to the build's
-     *  FAIRCO2_CACHE_COMPRESS selection. */
-    cache::Codec codec = cache::defaultBackend().codec;
+     *  file, so any codec resumes any file. */
+    cache::Codec codec = cache::Codec::Identity;
 
     /**
      * Test hook: stop after computing this many chunks this run,

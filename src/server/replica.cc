@@ -112,7 +112,6 @@ Replica::Replica(const ServerConfig &config,
     cc.stepSeconds = config_.stepSeconds;
     cc.innerSplits = config_.innerSplits;
     cc.cacheCapacity = config_.cacheCapacity;
-    cc.cacheBackend = config_.cacheBackend;
     cc.poolGramsPerSecond = config_.poolGramsPerSecond;
     cc.seed = config_.seed;
 

@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/backend.hh"
+#include "cache/compr_api.hh"
 #include "core/signalcore.hh"
 #include "durability/wal.hh"
 #include "pipeline/overload.hh"
@@ -114,9 +114,6 @@ struct ServerConfig
     std::size_t windowPeriods = 8;   //!< engine window W
     std::size_t periodSamples = 12;  //!< samples per period M
     std::size_t cacheCapacity = 64;  //!< engine sub-game cache
-    /** Memo-cache blob-store backend for every shard engine and the
-     *  fleet engine. */
-    cache::BackendConfig cacheBackend = cache::defaultBackend();
     std::vector<std::size_t> innerSplits{}; //!< periods' inner tree
     double stepSeconds = 300.0;
     double poolGramsPerSecond = 0.35;
@@ -133,7 +130,7 @@ struct ServerConfig
  * Hash of every config field the published signal depends on —
  * stamped into WAL segment headers so a log is only ever replayed
  * against the run shape that wrote it. Deliberately excludes shards,
- * threads, and the cache backend: the signal is provably independent
+ * threads, and the cache capacity: the signal is provably independent
  * of them, so a WAL written at --shards 4 replays at --shards 8.
  */
 std::uint64_t serverConfigHash(const ServerConfig &config);

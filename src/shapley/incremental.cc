@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/errors.hh"
@@ -22,92 +21,94 @@ namespace
  *  the chunk grid and fold order never depend on `--threads N`. */
 constexpr std::size_t kPermChunk = 16;
 
-/** Bytes of the leading checksum word in a serialized blob. */
-constexpr std::size_t kBlobChecksumBytes = 8;
-
-/** FNV-1a-style accumulator (64-bit words per step, so verifying a
- *  cached payload stays much cheaper than re-solving it) used for
- *  both the canonical coalition hash and the blob checksums. */
+/** FNV-1a-style accumulator over 64-bit words (so verifying a
+ *  cached payload stays much cheaper than re-solving it); counts the
+ *  words it covers, which is what CacheStats reports as bytes. */
 struct Fnv1a
 {
     std::uint64_t state = 14695981039346656037ULL;
+    std::uint64_t words = 0;
 
     void
     feed(std::uint64_t word)
     {
         state ^= word;
         state *= 1099511628211ULL;
+        ++words;
     }
 
     void feed(double value) { feed(std::bit_cast<std::uint64_t>(value)); }
 };
 
-/** Checksum of a serialized payload: word-granular FNV-1a with a
- *  zero-padded tail word plus the length, so blobs of different
- *  sizes never collide on padding alone. */
 std::uint64_t
-blobChecksum(const std::uint8_t *data, std::size_t size)
+headChecksum(double peak, double usage)
 {
     Fnv1a hash;
-    std::size_t i = 0;
-    for (; i + 8 <= size; i += 8) {
-        std::uint64_t word;
-        std::memcpy(&word, data + i, 8);
-        hash.feed(word);
-    }
-    if (i < size) {
-        std::uint64_t word = 0;
-        std::memcpy(&word, data + i, size - i);
-        hash.feed(word);
-    }
-    hash.feed(static_cast<std::uint64_t>(size));
+    hash.feed(peak);
+    hash.feed(usage);
     return hash.state;
 }
 
+/** Feed one solve-tree node, structure words first, in preorder. */
+template <class Node>
 void
-putWord(std::vector<std::uint8_t> &out, std::uint64_t word)
+feedNode(Fnv1a &hash, const Node &node)
 {
-    const std::size_t at = out.size();
-    out.resize(at + 8);
-    std::memcpy(out.data() + at, &word, 8);
+    hash.feed(static_cast<std::uint64_t>(node.begin));
+    hash.feed(static_cast<std::uint64_t>(node.end));
+    hash.feed(static_cast<std::uint64_t>(node.children.size()));
+    hash.feed(node.usage);
+    hash.feed(node.childDenom);
+    for (const double v : node.childPhi)
+        hash.feed(v);
+    for (const double v : node.childUsages)
+        hash.feed(v);
+    for (const Node &child : node.children)
+        feedNode(hash, child);
+}
+
+template <class Solve>
+Fnv1a
+treeChecksum(const Solve &solve)
+{
+    Fnv1a hash;
+    hash.feed(static_cast<std::uint64_t>(solve.leafCount));
+    hash.feed(solve.operations);
+    feedNode(hash, solve.root);
+    return hash;
+}
+
+std::uint64_t
+phiChecksum(const std::vector<double> &phi)
+{
+    Fnv1a hash;
+    for (const double v : phi)
+        hash.feed(v);
+    return hash.state;
+}
+
+/** The double payload words of @p node's subtree, in the preorder
+ *  corruptCacheEntryForTest numbers them. */
+template <class Node>
+void
+collectWords(Node &node, std::vector<double *> &out)
+{
+    out.push_back(&node.usage);
+    out.push_back(&node.childDenom);
+    for (double &v : node.childPhi)
+        out.push_back(&v);
+    for (double &v : node.childUsages)
+        out.push_back(&v);
+    for (Node &child : node.children)
+        collectWords(child, out);
 }
 
 void
-putDouble(std::vector<std::uint8_t> &out, double value)
+flipLowBit(double &word)
 {
-    putWord(out, std::bit_cast<std::uint64_t>(value));
+    word = std::bit_cast<double>(std::bit_cast<std::uint64_t>(word) ^
+                                 1ULL);
 }
-
-/** Bounds-checked word cursor over one section of a serialized
- *  blob ([pos, end) within the byte vector). */
-struct WordReader
-{
-    const std::vector<std::uint8_t> &bytes;
-    std::size_t pos = 0;
-    std::size_t end = 0;
-
-    std::size_t remaining() const { return end - pos; }
-
-    bool
-    u64(std::uint64_t &out)
-    {
-        if (pos + 8 > end)
-            return false;
-        std::memcpy(&out, bytes.data() + pos, 8);
-        pos += 8;
-        return true;
-    }
-
-    bool
-    f64(double &out)
-    {
-        std::uint64_t word;
-        if (!u64(word))
-            return false;
-        out = std::bit_cast<double>(word);
-        return true;
-    }
-};
 
 std::string
 hex16(std::uint64_t value)
@@ -116,6 +117,18 @@ hex16(std::uint64_t value)
     std::snprintf(buf, sizeof buf, "0x%016llx",
                   static_cast<unsigned long long>(value));
     return std::string(buf);
+}
+
+/** A cached word did not match its payload: name the entry and both
+ *  words, and throw. */
+[[noreturn]] void
+throwIntegrity(const std::string &entry, std::uint64_t stored,
+               std::uint64_t computed)
+{
+    throw CacheIntegrityError("incremental attribution: " + entry +
+                              " failed its checksum (stored " +
+                              hex16(stored) + ", computed " +
+                              hex16(computed) + ")");
 }
 
 } // namespace
@@ -139,9 +152,6 @@ IncrementalTemporalEngine::IncrementalTemporalEngine(
                 "incremental engine: inner split counts must be "
                 ">= 1");
     }
-    if (config_.cacheCapacity > 0)
-        store_ = cache::makeBlobStore(config_.backend,
-                                      config_.cacheCapacity);
     partialPeriod_.reserve(config_.periodSamples);
 }
 
@@ -164,310 +174,78 @@ IncrementalTemporalEngine::pushSample(double demand)
 void
 IncrementalTemporalEngine::closePeriod()
 {
-    windowSamples_.push_back(std::move(partialPeriod_));
+    window_.emplace_back();
+    window_.back().samples = std::move(partialPeriod_);
     partialPeriod_ = std::vector<double>();
     partialPeriod_.reserve(config_.periodSamples);
     ++periodsClosed_;
-    if (windowSamples_.size() > config_.windowPeriods) {
-        const std::uint64_t evicted = firstPeriod_;
-        windowSamples_.pop_front();
-        ++firstPeriod_;
-        invalidatePeriod(evicted);
+    if (window_.size() <= config_.windowPeriods)
+        return;
+    // Exact invalidation: the only entries that can involve the
+    // period sliding out are its own solve and the phi of the window
+    // that started at it. The new period has no solve yet and simply
+    // misses on first use.
+    if (window_.front().solve) {
+        dropSolve(window_.front());
+        ++stats_.invalidations;
+        FAIRCO2_COUNT("shapley.cache.invalidate", 1);
     }
+    if (phi_ && phiFirst_ == firstPeriod_) {
+        dropPhi();
+        ++stats_.invalidations;
+        FAIRCO2_COUNT("shapley.cache.invalidate", 1);
+    }
+    window_.pop_front();
+    ++firstPeriod_;
 }
 
 bool
 IncrementalTemporalEngine::windowReady() const
 {
-    return windowSamples_.size() == config_.windowPeriods;
+    return window_.size() == config_.windowPeriods;
 }
 
 void
-IncrementalTemporalEngine::invalidatePeriod(std::uint64_t period)
+IncrementalTemporalEngine::dropSolve(Slot &slot)
 {
-    // Exact invalidation: the only live entries whose coalition can
-    // involve the period that just slid out are its singleton solve
-    // and the window-phi of the window that *started* at it (older
-    // window-phi entries were invalidated on earlier advances), so
-    // two keyed erases replace a full scan. The newly added period
-    // has no entry yet and simply misses on next use.
-    if (!store_)
+    slot.solve.reset();
+    --resident_;
+    stats_.storedBytes -= slot.bytes;
+    stats_.rawBytes = stats_.storedBytes;
+}
+
+void
+IncrementalTemporalEngine::dropPhi()
+{
+    phi_.reset();
+    --resident_;
+    if (config_.cacheCapacity > 0)
+        stats_.storedBytes -= 8 * config_.windowPeriods;
+    stats_.rawBytes = stats_.storedBytes;
+}
+
+void
+IncrementalTemporalEngine::trimToCapacity()
+{
+    if (config_.cacheCapacity == 0) {
+        // Memoization off: slots only held this compute's solves.
+        for (Slot &slot : window_)
+            if (slot.solve)
+                dropSolve(slot);
+        if (phi_)
+            dropPhi();
         return;
-    const std::vector<std::uint64_t> single{period};
-    if (store_->erase(
-            coalitionHash(EntryKind::PeriodSolve, single))) {
-        ++stats_.invalidations;
-        FAIRCO2_COUNT("shapley.cache.invalidate", 1);
     }
-    std::vector<std::uint64_t> span(config_.windowPeriods);
-    for (std::size_t i = 0; i < span.size(); ++i)
-        span[i] = period + i;
-    if (store_->erase(coalitionHash(EntryKind::WindowPhi, span))) {
-        ++stats_.invalidations;
-        FAIRCO2_COUNT("shapley.cache.invalidate", 1);
-    }
-    syncCacheObs();
-}
-
-std::uint64_t
-IncrementalTemporalEngine::coalitionHash(
-    EntryKind kind, const std::vector<std::uint64_t> &members)
-{
-    Fnv1a hash;
-    hash.feed(static_cast<std::uint64_t>(kind));
-    hash.feed(static_cast<std::uint64_t>(members.size()));
-    for (const std::uint64_t member : members)
-        hash.feed(member);
-    return hash.state;
-}
-
-std::string
-IncrementalTemporalEngine::describeEntry(
-    EntryKind kind, const std::vector<std::uint64_t> &members)
-{
-    if (kind == EntryKind::WindowPhi && !members.empty())
-        return "window-phi cache entry for periods [" +
-            std::to_string(members.front()) + ".." +
-            std::to_string(members.back()) + "]";
-    if (!members.empty())
-        return "sub-game cache entry for window period " +
-            std::to_string(members.front());
-    return "sub-game cache entry with no coalition";
-}
-
-void
-IncrementalTemporalEngine::serializeEntry(
-    const CacheEntry &entry, std::vector<std::uint8_t> &out)
-{
-    // The blob is two typed sections behind a word-count header:
-    // every u64 structure word in traversal order, then every IEEE
-    // double in the same order. Homogeneous sections are what makes
-    // the lz codec's delta transform effective — small integers
-    // delta to zero runs and neighboring doubles share exponent and
-    // top-mantissa bytes, which interleaved words would destroy.
-    out.clear();
-    std::vector<std::uint8_t> words;
-    std::vector<std::uint8_t> doubles;
-    putWord(words, static_cast<std::uint64_t>(entry.kind));
-    putWord(words,
-            static_cast<std::uint64_t>(entry.members.size()));
-    for (const std::uint64_t member : entry.members)
-        putWord(words, member);
-    if (entry.kind == EntryKind::WindowPhi) {
-        putWord(words,
-                static_cast<std::uint64_t>(entry.phi.size()));
-        for (const double v : entry.phi)
-            putDouble(doubles, v);
-    } else {
-        putWord(words,
-                static_cast<std::uint64_t>(entry.solve.leafCount));
-        putWord(words, entry.solve.operations);
-        putDouble(doubles, entry.solve.peak);
-        putDouble(doubles, entry.solve.usage);
-        const auto walk = [&words, &doubles](const SolveNode &node,
-                                             const auto &self)
-            -> void {
-            putWord(words, static_cast<std::uint64_t>(node.begin));
-            putWord(words, static_cast<std::uint64_t>(node.end));
-            putWord(words, static_cast<std::uint64_t>(
-                               node.children.size()));
-            putDouble(doubles, node.usage);
-            putDouble(doubles, node.childDenom);
-            for (const double v : node.childPhi)
-                putDouble(doubles, v);
-            for (const double v : node.childUsages)
-                putDouble(doubles, v);
-            for (const SolveNode &child : node.children)
-                self(child, self);
-        };
-        walk(entry.solve.root, walk);
-    }
-    putWord(out, 0); // checksum placeholder, filled below
-    putWord(out, static_cast<std::uint64_t>(words.size() / 8));
-    out.insert(out.end(), words.begin(), words.end());
-    out.insert(out.end(), doubles.begin(), doubles.end());
-    const std::uint64_t checksum =
-        blobChecksum(out.data() + kBlobChecksumBytes,
-                     out.size() - kBlobChecksumBytes);
-    std::memcpy(out.data(), &checksum, kBlobChecksumBytes);
-}
-
-bool
-IncrementalTemporalEngine::deserializeEntry(
-    const std::vector<std::uint8_t> &in, CacheEntry &out)
-{
-    if (in.size() < kBlobChecksumBytes + 8 ||
-        (in.size() % 8) != 0)
-        return false;
-    std::uint64_t word_count = 0;
-    {
-        std::memcpy(&word_count, in.data() + kBlobChecksumBytes, 8);
-    }
-    const std::size_t words_begin = kBlobChecksumBytes + 8;
-    if (word_count > (in.size() - words_begin) / 8)
-        return false;
-    const std::size_t doubles_begin =
-        words_begin + static_cast<std::size_t>(word_count) * 8;
-    WordReader words{in, words_begin, doubles_begin};
-    WordReader doubles{in, doubles_begin, in.size()};
-    std::uint64_t kind_word = 0;
-    std::uint64_t count = 0;
-    if (!words.u64(kind_word) || !words.u64(count))
-        return false;
-    if (kind_word !=
-            static_cast<std::uint64_t>(EntryKind::PeriodSolve) &&
-        kind_word != static_cast<std::uint64_t>(EntryKind::WindowPhi))
-        return false;
-    out.kind = static_cast<EntryKind>(kind_word);
-    if (count > words.remaining() / 8)
-        return false;
-    out.members.resize(static_cast<std::size_t>(count));
-    for (std::uint64_t &member : out.members)
-        if (!words.u64(member))
-            return false;
-    out.phi.clear();
-    out.solve = PeriodSolve{};
-    if (out.kind == EntryKind::WindowPhi) {
-        if (!words.u64(count))
-            return false;
-        if (count > doubles.remaining() / 8)
-            return false;
-        out.phi.resize(static_cast<std::size_t>(count));
-        for (double &v : out.phi)
-            if (!doubles.f64(v))
-                return false;
-        return words.remaining() == 0 && doubles.remaining() == 0;
-    }
-    std::uint64_t leaves = 0;
-    if (!words.u64(leaves) || !words.u64(out.solve.operations) ||
-        !doubles.f64(out.solve.peak) ||
-        !doubles.f64(out.solve.usage))
-        return false;
-    out.solve.leafCount = static_cast<std::size_t>(leaves);
-    const auto walk = [&words, &doubles](SolveNode &node,
-                                         const auto &self) -> bool {
-        std::uint64_t begin = 0;
-        std::uint64_t end = 0;
-        std::uint64_t chunks = 0;
-        if (!words.u64(begin) || !words.u64(end) ||
-            !words.u64(chunks) || !doubles.f64(node.usage) ||
-            !doubles.f64(node.childDenom))
-            return false;
-        node.begin = static_cast<std::size_t>(begin);
-        node.end = static_cast<std::size_t>(end);
-        // A corrupt count would drive the recursion far past the
-        // blob; the per-word bounds checks below stop it, but cap it
-        // against the remaining bytes anyway.
-        if (chunks > doubles.remaining() / 16)
-            return false;
-        node.childPhi.resize(static_cast<std::size_t>(chunks));
-        for (double &v : node.childPhi)
-            if (!doubles.f64(v))
-                return false;
-        node.childUsages.resize(static_cast<std::size_t>(chunks));
-        for (double &v : node.childUsages)
-            if (!doubles.f64(v))
-                return false;
-        node.children.resize(static_cast<std::size_t>(chunks));
-        for (SolveNode &child : node.children)
-            if (!self(child, self))
-                return false;
-        return true;
-    };
-    if (!walk(out.solve.root, walk))
-        return false;
-    return words.remaining() == 0 && doubles.remaining() == 0;
-}
-
-bool
-IncrementalTemporalEngine::fetchEntry(
-    std::uint64_t key, EntryKind kind,
-    const std::vector<std::uint64_t> &members, CacheEntry &out)
-{
-    if (!store_) {
-        ++stats_.misses;
-        FAIRCO2_COUNT("shapley.cache.miss", 1);
-        return false;
-    }
-    bool found = false;
-    try {
-        found = store_->get(key, blobBuffer_);
-    } catch (const cache::CorruptBlockError &error) {
-        throw CacheIntegrityError(
-            "incremental attribution: " +
-            describeEntry(kind, members) +
-            " no longer decompresses (" + error.what() + ")");
-    }
-    if (!found) {
-        ++stats_.misses;
-        FAIRCO2_COUNT("shapley.cache.miss", 1);
-        return false;
-    }
-    if (blobBuffer_.size() < kBlobChecksumBytes)
-        throw CacheIntegrityError(
-            "incremental attribution: " +
-            describeEntry(kind, members) + " is truncated (" +
-            std::to_string(blobBuffer_.size()) + " bytes)");
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, blobBuffer_.data(), kBlobChecksumBytes);
-    const std::uint64_t computed =
-        blobChecksum(blobBuffer_.data() + kBlobChecksumBytes,
-                     blobBuffer_.size() - kBlobChecksumBytes);
-    if (stored != computed)
-        throw CacheIntegrityError(
-            "incremental attribution: " +
-            describeEntry(kind, members) +
-            " failed its checksum (stored " + hex16(stored) +
-            ", computed " + hex16(computed) + ")");
-    // A verified blob that decodes to a different coalition is a
-    // key collision, not corruption: treat it as a miss and let the
-    // fresh solve overwrite it.
-    if (!deserializeEntry(blobBuffer_, out) || out.kind != kind ||
-        out.members != members) {
-        ++stats_.misses;
-        FAIRCO2_COUNT("shapley.cache.miss", 1);
-        return false;
-    }
-    out.key = key;
-    ++stats_.hits;
-    FAIRCO2_COUNT("shapley.cache.hit", 1);
-    return true;
-}
-
-void
-IncrementalTemporalEngine::storeEntry(const CacheEntry &entry)
-{
-    if (!store_)
-        return;
-    serializeEntry(entry, blobBuffer_);
-    store_->put(entry.key, blobBuffer_.data(), blobBuffer_.size());
-    syncCacheObs();
-}
-
-void
-IncrementalTemporalEngine::syncCacheObs()
-{
-    const cache::StoreCounters counters = store_->counters();
-    if (counters.evictions > stats_.evictions) {
-        const std::uint64_t delta =
-            counters.evictions - stats_.evictions;
-        stats_.evictions = counters.evictions;
-        FAIRCO2_COUNT("shapley.cache.evict", delta);
-        switch (config_.backend.policy) {
-        case cache::EvictPolicy::Lru:
-            FAIRCO2_COUNT("shapley.cache.evict.lru", delta);
-            break;
-        case cache::EvictPolicy::Clock:
-            FAIRCO2_COUNT("shapley.cache.evict.clock", delta);
-            break;
+    // The oldest solves go first: they slide out soonest.
+    for (Slot &slot : window_) {
+        if (resident_ <= config_.cacheCapacity)
+            return;
+        if (slot.solve) {
+            dropSolve(slot);
+            ++stats_.evictions;
+            FAIRCO2_COUNT("shapley.cache.evict", 1);
         }
     }
-    stats_.storedBytes = counters.storedBytes;
-    stats_.rawBytes = counters.rawBytes;
-    FAIRCO2_GAUGE_SET("shapley.cache.compressed_bytes",
-                      static_cast<double>(counters.storedBytes));
-    FAIRCO2_GAUGE_SET("shapley.cache.raw_bytes",
-                      static_cast<double>(counters.rawBytes));
 }
 
 IncrementalTemporalEngine::SolveNode
@@ -545,23 +323,45 @@ IncrementalTemporalEngine::solvePeriod(
 }
 
 const IncrementalTemporalEngine::PeriodSolve &
-IncrementalTemporalEngine::periodSolveFor(std::uint64_t period)
+IncrementalTemporalEngine::periodSolveFor(std::size_t c, bool whole)
 {
-    const std::vector<std::uint64_t> members{period};
-    const std::uint64_t key =
-        coalitionHash(EntryKind::PeriodSolve, members);
-    if (fetchEntry(key, EntryKind::PeriodSolve, members, hitEntry_))
-        return hitEntry_.solve;
-
-    scratch_ = CacheEntry{};
-    scratch_.key = key;
-    scratch_.kind = EntryKind::PeriodSolve;
-    scratch_.members = members;
-    scratch_.solve = solvePeriod(
-        windowSamples_[static_cast<std::size_t>(period -
-                                                firstPeriod_)]);
-    storeEntry(scratch_);
-    return scratch_.solve;
+    Slot &slot = window_[c];
+    if (slot.solve) {
+        // Verify what is read: the head always, the tree only when
+        // the caller walks it.
+        const PeriodSolve &solve = *slot.solve;
+        const auto entry = [&](const char *part) {
+            return std::string(part) +
+                " of the sub-game cache entry for window period " +
+                std::to_string(firstPeriod_ + c);
+        };
+        const std::uint64_t head =
+            headChecksum(solve.peak, solve.usage);
+        if (head != slot.headSum)
+            throwIntegrity(entry("head"), slot.headSum, head);
+        if (whole) {
+            const std::uint64_t tree = treeChecksum(solve).state;
+            if (tree != slot.treeSum)
+                throwIntegrity(entry("tree"), slot.treeSum, tree);
+        }
+        ++stats_.hits;
+        FAIRCO2_COUNT("shapley.cache.hit", 1);
+        return solve;
+    }
+    ++stats_.misses;
+    FAIRCO2_COUNT("shapley.cache.miss", 1);
+    const PeriodSolve &solve =
+        slot.solve.emplace(solvePeriod(slot.samples));
+    ++resident_;
+    if (config_.cacheCapacity > 0) {
+        slot.headSum = headChecksum(solve.peak, solve.usage);
+        const Fnv1a tree = treeChecksum(solve);
+        slot.treeSum = tree.state;
+        slot.bytes = 8 * (2 + tree.words);
+        stats_.storedBytes += slot.bytes;
+        stats_.rawBytes = stats_.storedBytes;
+    }
+    return solve;
 }
 
 std::vector<double>
@@ -603,7 +403,7 @@ IncrementalTemporalEngine::solveTopPhi(
     return phi;
 }
 
-std::vector<double>
+const std::vector<double> &
 IncrementalTemporalEngine::windowPhiFor(
     const std::vector<double> &peaks)
 {
@@ -620,21 +420,33 @@ IncrementalTemporalEngine::windowPhiFor(
                     config_.windowPeriods));
     }
 
-    std::vector<std::uint64_t> members(config_.windowPeriods);
-    for (std::size_t i = 0; i < members.size(); ++i)
-        members[i] = firstPeriod_ + i;
-    const std::uint64_t key =
-        coalitionHash(EntryKind::WindowPhi, members);
-    if (fetchEntry(key, EntryKind::WindowPhi, members, hitEntry_))
-        return hitEntry_.phi;
-
-    CacheEntry fresh;
-    fresh.key = key;
-    fresh.kind = EntryKind::WindowPhi;
-    fresh.members = std::move(members);
-    fresh.phi = solveTopPhi(peaks);
-    storeEntry(fresh);
-    return std::move(fresh.phi);
+    if (phi_ && phiFirst_ == firstPeriod_) {
+        const std::uint64_t computed = phiChecksum(*phi_);
+        if (computed != phiSum_)
+            throwIntegrity(
+                "window-phi cache entry for periods [" +
+                    std::to_string(firstPeriod_) + ".." +
+                    std::to_string(firstPeriod_ +
+                                   config_.windowPeriods - 1) +
+                    "]",
+                phiSum_, computed);
+        ++stats_.hits;
+        FAIRCO2_COUNT("shapley.cache.hit", 1);
+        return *phi_;
+    }
+    // closePeriod dropped any phi of an earlier window, so nothing
+    // resident is replaced here.
+    ++stats_.misses;
+    FAIRCO2_COUNT("shapley.cache.miss", 1);
+    phi_ = solveTopPhi(peaks);
+    phiFirst_ = firstPeriod_;
+    ++resident_;
+    if (config_.cacheCapacity > 0) {
+        phiSum_ = phiChecksum(*phi_);
+        stats_.storedBytes += 8 * config_.windowPeriods;
+        stats_.rawBytes = stats_.storedBytes;
+    }
+    return *phi_;
 }
 
 void
@@ -695,20 +507,18 @@ IncrementalTemporalEngine::computeWindow(double pool_grams)
     const std::size_t M = config_.periodSamples;
 
     // Gather the W carbon-independent sub-game solves (cache hits
-    // for every period the window shares with its predecessor) and
-    // copy them out: later fetches decode into the same hit buffer
-    // and later inserts may evict earlier entries when the capacity
-    // is tight, so references are not stable across this loop.
-    std::vector<PeriodSolve> solves;
-    solves.reserve(W);
+    // for every period the window shares with its predecessor). The
+    // slots stay put until trimToCapacity at the end, so the
+    // references hold across the whole compute.
+    std::vector<const PeriodSolve *> solves(W);
     std::vector<double> peaks(W), usages(W);
     for (std::size_t c = 0; c < W; ++c) {
-        solves.push_back(periodSolveFor(firstPeriod_ + c));
-        peaks[c] = solves[c].peak;
-        usages[c] = solves[c].usage;
+        solves[c] = &periodSolveFor(c, true);
+        peaks[c] = solves[c]->peak;
+        usages[c] = solves[c]->usage;
     }
 
-    const auto phi = windowPhiFor(peaks);
+    const auto &phi = windowPhiFor(peaks);
     double denom = 0.0;
     for (std::size_t c = 0; c < W; ++c)
         denom += phi[c] * usages[c];
@@ -728,15 +538,16 @@ IncrementalTemporalEngine::computeWindow(double pool_grams)
     for (std::size_t c = 0; c < W; ++c) {
         const double chunk_carbon = intensities[c] * usages[c];
         assigned += chunk_carbon;
-        applyCarbon(solves[c].root, chunk_carbon, values, c * M,
+        applyCarbon(solves[c]->root, chunk_carbon, values, c * M,
                     result.attributedGrams,
                     result.unattributedGrams);
-        result.leafPeriods += solves[c].leafCount;
-        result.operations += solves[c].operations;
+        result.leafPeriods += solves[c]->leafCount;
+        result.operations += solves[c]->operations;
     }
     result.unattributedGrams += pool_grams - assigned;
     result.intensity =
         trace::TimeSeries(std::move(values), config_.stepSeconds);
+    trimToCapacity();
     return result;
 }
 
@@ -757,22 +568,17 @@ IncrementalTemporalEngine::computeNewestPeriod(double pool_grams)
     const std::size_t M = config_.periodSamples;
 
     // The top-level game still needs every period's peak and usage,
-    // but with a warm cache only the newest period solves fresh.
-    PeriodSolve newest;
-    std::vector<double> peaks(W), usages(W);
-    for (std::size_t c = 0; c < W; ++c) {
-        const PeriodSolve &solve =
-            periodSolveFor(firstPeriod_ + c);
-        peaks[c] = solve.peak;
-        usages[c] = solve.usage;
-        if (c + 1 == W)
-            newest = solve;
-    }
+    // but with a warm cache only the newest period solves fresh, and
+    // only the heads of the older slots are read (and verified).
+    std::vector<double> peaks(W);
+    for (std::size_t c = 0; c < W; ++c)
+        peaks[c] = periodSolveFor(c, c + 1 == W).peak;
+    const PeriodSolve &newest = *window_.back().solve;
 
-    const auto phi = windowPhiFor(peaks);
+    const auto &phi = windowPhiFor(peaks);
     double denom = 0.0;
     for (std::size_t c = 0; c < W; ++c)
-        denom += phi[c] * usages[c];
+        denom += phi[c] * window_[c].solve->usage;
 
     double intensity = 0.0;
     if (denom > 0.0)
@@ -780,24 +586,36 @@ IncrementalTemporalEngine::computeNewestPeriod(double pool_grams)
 
     PeriodResult result;
     result.period = firstPeriod_ + W - 1;
-    result.periodGrams = intensity * usages[W - 1];
+    result.periodGrams = intensity * newest.usage;
     result.leafPeriods = newest.leafCount;
     result.operations =
         static_cast<std::uint64_t>(W) * W + newest.operations;
     result.intensity.assign(M, 0.0);
     applyCarbon(newest.root, result.periodGrams, result.intensity, 0,
                 result.attributedGrams, result.unattributedGrams);
+    trimToCapacity();
     return result;
 }
 
 bool
 IncrementalTemporalEngine::corruptCacheEntryForTest(
-    std::size_t byte_offset)
+    std::size_t word_offset)
 {
-    // Flip one stored bit without refreshing the blob checksum; the
-    // next hit on that entry fails verification (or, under a
-    // compressing codec, may fail to decode at all).
-    return store_ && store_->corruptOneForTest(byte_offset);
+    // Flip one payload bit without refreshing the checksums; the
+    // next verified read of that word fails.
+    for (Slot &slot : window_) {
+        if (!slot.solve)
+            continue;
+        std::vector<double *> words{&slot.solve->peak,
+                                    &slot.solve->usage};
+        collectWords(slot.solve->root, words);
+        flipLowBit(*words[word_offset % words.size()]);
+        return true;
+    }
+    if (!phi_)
+        return false;
+    flipLowBit((*phi_)[word_offset % phi_->size()]);
+    return true;
 }
 
 } // namespace fairco2::shapley

@@ -8,27 +8,20 @@
  * window slides forward by one period — yet consecutive windows share
  * W-1 of their W period sub-games. IncrementalTemporalEngine memoizes
  * the carbon-independent part of each sub-game (peaks, usages,
- * per-node Shapley weights of the inner hierarchy), serialized to a
- * checksummed byte blob and held in a pluggable `cache::BlobStore`
- * keyed by a canonical coalition hash over *absolute* period indices,
- * so advancing the window by one period costs one fresh period solve
+ * per-node Shapley weights of the inner hierarchy) in a ring of W
+ * typed slots that runs parallel to the window's period samples, plus
+ * one cached top-level window phi tagged with its first period. A
+ * slot fills on first use and slides out with its period, so
+ * advancing the window by one period costs one fresh period solve
  * plus a W-player top-level peak game instead of W full solves.
- *
- * The store backend — allocator (malloc/arena), eviction policy
- * (LRU/CLOCK), lock strategy (mutex/sharded rwlock), and transparent
- * compression (identity/lz) — is selected per engine through
- * Config::backend (see src/cache/). The cache is an optimization,
- * never an input, so every backend combination publishes
- * byte-identical signals (enforced by tests/test_cache_backends.cc).
  *
  * Correctness contract (the strongest oracle in the repo):
  *
- *  - With memoization on (any capacity, any backend) or off
- *    (capacity 0), the engine's output is **byte-identical**: cached
- *    values are pure functions of the immutable period samples, and
- *    the carbon application pass mirrors
- *    core::TemporalShapley::attributeRange expression for
- *    expression.
+ *  - With memoization on (any capacity) or off (capacity 0), the
+ *    engine's output is **byte-identical**: cached values are pure
+ *    functions of the immutable period samples, and the carbon
+ *    application pass mirrors core::TemporalShapley::attributeRange
+ *    expression for expression.
  *  - A single full window equals TemporalShapley::attribute over the
  *    same samples with split counts {windowPeriods, innerSplits...},
  *    bit for bit.
@@ -37,15 +30,16 @@
  *    sweep folds fixed-size chunks in ascending order, so results are
  *    bit-identical at any `--threads N`.
  *
- * Every cache blob leads with an FNV-1a checksum over its serialized
- * payload; a mismatch on hit — or a stored block that no longer
- * decompresses — throws CacheIntegrityError naming the offending
- * window period and the stored-vs-computed checksums, which the
- * pipeline supervisor treats as a stage crash and answers by
- * descending to the full-recompute rung. Cache behavior is observable
- * through the `shapley.cache.{hit,miss,evict,invalidate}` counters,
- * the per-policy `shapley.cache.evict.{lru,clock}` counters, the
- * `shapley.cache.{compressed_bytes,raw_bytes}` gauges, and the
+ * Integrity: every slot carries two FNV-1a words, one over its
+ * (peak, usage) head and one over its solve tree; the window phi
+ * carries one over phi. A hit verifies exactly the part it reads
+ * before using it — an advance reads only the heads of the W-1
+ * older slots, a full window reads whole trees — and a mismatch
+ * throws CacheIntegrityError naming the offending window period and
+ * the stored-vs-computed words, which the pipeline supervisor treats
+ * as a stage crash and answers by descending to the full-recompute
+ * rung. Cache behavior is observable through the
+ * `shapley.cache.{hit,miss,evict,invalidate}` counters and the
  * per-engine CacheStats.
  */
 
@@ -55,13 +49,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "cache/backend.hh"
-#include "cache/blobstore.hh"
 #include "common/rng.hh"
 #include "trace/timeseries.hh"
 
@@ -69,13 +61,12 @@ namespace fairco2::shapley
 {
 
 /**
- * A memoized sub-game entry failed its payload checksum or no longer
- * decompresses — the cache no longer reflects the period samples it
- * was solved from. The message names the offending window period (or
- * period range) and, for checksum failures, the stored-vs-computed
- * checksum pair. Callers should drop the engine and recompute from
- * scratch; the pipeline supervisor maps this onto the degradation
- * ladder.
+ * A memoized sub-game entry failed its checksum — the cache no
+ * longer reflects the period samples it was solved from. The message
+ * names the offending window period (or period range) and the
+ * stored-vs-computed checksum pair. Callers should drop the engine
+ * and recompute from scratch; the pipeline supervisor maps this onto
+ * the degradation ladder.
  */
 class CacheIntegrityError : public std::runtime_error
 {
@@ -87,16 +78,16 @@ class CacheIntegrityError : public std::runtime_error
 };
 
 /** Counters describing one engine's cache behavior. The first four
- *  are monotonic; the byte fields are snapshots of the store's
- *  current resident footprint (equal when the codec is identity). */
+ *  are monotonic; the byte fields are snapshots of the resident
+ *  payload (the words the checksums cover), always equal. */
 struct CacheStats
 {
     std::uint64_t hits = 0;          //!< entry found and verified
     std::uint64_t misses = 0;        //!< entry absent, solved fresh
     std::uint64_t evictions = 0;     //!< removed by capacity policy
     std::uint64_t invalidations = 0; //!< removed by window advance
-    std::uint64_t storedBytes = 0;   //!< resident compressed bytes
-    std::uint64_t rawBytes = 0;      //!< resident uncompressed bytes
+    std::uint64_t storedBytes = 0;   //!< resident payload bytes
+    std::uint64_t rawBytes = 0;      //!< same as storedBytes
 };
 
 /**
@@ -125,13 +116,12 @@ class IncrementalTemporalEngine
          *  {windowPeriods, innerSplits...}. Empty = periods are
          *  leaves. */
         std::vector<std::size_t> innerSplits{};
-        /** Sub-game cache capacity in entries; 0 disables
-         *  memoization (the from-scratch reference engine). */
+        /** Resident memo entries (period solves plus the window
+         *  phi) kept between computes; 0 disables memoization (the
+         *  from-scratch reference engine), windowPeriods + 1 or
+         *  more never evicts, anything smaller evicts the oldest
+         *  solved periods first. */
         std::size_t cacheCapacity = 64;
-        /** Which blob-store backend holds the memoized sub-games;
-         *  defaults to the build's FAIRCO2_CACHE_* selection. Every
-         *  combination publishes byte-identical results. */
-        cache::BackendConfig backend = cache::defaultBackend();
         /** Permutations for the sampled top-level game; 0 uses the
          *  exact O(W log W) closed form. */
         std::size_t sampledPermutations = 0;
@@ -204,26 +194,24 @@ class IncrementalTemporalEngine
     PeriodResult computeNewestPeriod(double pool_grams);
 
     /** This engine's cache counters (also mirrored into the
-     *  `shapley.cache.*` obs counters and gauges). */
+     *  `shapley.cache.*` obs counters). */
     const CacheStats &cacheStats() const { return stats_; }
 
-    /** Live entries in the sub-game cache. */
-    std::size_t
-    cacheSize() const
-    {
-        return store_ ? static_cast<std::size_t>(
-                            store_->counters().entries)
-                      : 0;
-    }
+    /** Resident memo entries: solved slots plus the window phi. */
+    std::size_t cacheSize() const { return resident_; }
 
     /**
-     * Flip one stored bit of a resident cache entry (at
-     * @p byte_offset into its stored — possibly compressed — bytes)
-     * so it no longer verifies — the hook the fault plan's
-     * `cache-corrupt` key and the integrity tests use. Returns false
-     * (and does nothing) when the cache is empty.
+     * Flip the lowest bit of one payload word of the oldest resident
+     * entry (the oldest solved slot, else the window phi) without
+     * refreshing its checksum — the hook the fault plan's
+     * `cache-corrupt` key and the integrity tests use. A slot's words
+     * are numbered peak, usage, then each tree node's usage,
+     * childDenom, childPhi and childUsages in preorder; @p word_offset
+     * wraps modulo the entry's word count, so offsets 0 and 1 hit the
+     * head an advance verifies. Returns false (and does nothing) when
+     * nothing is resident.
      */
-    bool corruptCacheEntryForTest(std::size_t byte_offset = 0);
+    bool corruptCacheEntryForTest(std::size_t word_offset = 0);
 
     const Config &config() const { return config_; }
 
@@ -251,59 +239,39 @@ class IncrementalTemporalEngine
         std::uint64_t operations = 0;
     };
 
-    enum class EntryKind : std::uint8_t
+    /** One in-window period: its raw samples (kept so an evicted
+     *  solve can always be re-solved) and its memoized solve. */
+    struct Slot
     {
-        PeriodSolve = 1, //!< singleton coalition {p}
-        WindowPhi = 2,   //!< coalition {first..first+W-1}
-    };
-
-    /** In-memory (decoded) form of one memoized entry; the store
-     *  holds its serialized, checksummed, possibly compressed
-     *  bytes. */
-    struct CacheEntry
-    {
-        std::uint64_t key = 0;
-        EntryKind kind = EntryKind::PeriodSolve;
-        std::vector<std::uint64_t> members;
-        PeriodSolve solve;       //!< kind == PeriodSolve
-        std::vector<double> phi; //!< kind == WindowPhi
+        std::vector<double> samples;
+        std::optional<PeriodSolve> solve; //!< empty until first use
+        std::uint64_t headSum = 0; //!< FNV-1a over (peak, usage)
+        std::uint64_t treeSum = 0; //!< FNV-1a over the solve tree
+        std::uint64_t bytes = 0;   //!< payload words covered * 8
     };
 
     void closePeriod();
-    void invalidatePeriod(std::uint64_t period);
     PeriodSolve solvePeriod(const std::vector<double> &samples) const;
     SolveNode solveRange(const std::vector<double> &samples,
                          std::size_t begin, std::size_t end,
                          std::size_t level, PeriodSolve &out) const;
-    const PeriodSolve &periodSolveFor(std::uint64_t period);
-    std::vector<double>
+    /** The solve of window position @p c: a verified hit (the head
+     *  only unless @p whole) or a fresh solve filling the slot. */
+    const PeriodSolve &periodSolveFor(std::size_t c, bool whole);
+    const std::vector<double> &
     windowPhiFor(const std::vector<double> &peaks);
     std::vector<double>
     solveTopPhi(const std::vector<double> &peaks) const;
     void applyCarbon(const SolveNode &node, double carbon,
                      std::vector<double> &values, std::size_t offset,
                      double &attributed, double &unattributed) const;
-
-    /** Fetch + verify + decode the entry for @p key into @p out.
-     *  Returns false on a miss (also counting it); throws
-     *  CacheIntegrityError on decode or checksum failure. */
-    bool fetchEntry(std::uint64_t key, EntryKind kind,
-                    const std::vector<std::uint64_t> &members,
-                    CacheEntry &out);
-    /** Serialize @p entry (checksum first) into the store, then
-     *  refresh eviction/byte counters and obs. */
-    void storeEntry(const CacheEntry &entry);
-    void syncCacheObs();
-    static std::uint64_t
-    coalitionHash(EntryKind kind,
-                  const std::vector<std::uint64_t> &members);
-    static void serializeEntry(const CacheEntry &entry,
-                               std::vector<std::uint8_t> &out);
-    static bool deserializeEntry(const std::vector<std::uint8_t> &in,
-                                 CacheEntry &out);
-    static std::string
-    describeEntry(EntryKind kind,
-                  const std::vector<std::uint64_t> &members);
+    /** Drop slot @p slot's solve (or the window phi), keeping the
+     *  resident counts in step. */
+    void dropSolve(Slot &slot);
+    void dropPhi();
+    /** End of a compute: evict the oldest solves down to
+     *  cacheCapacity, or drop everything when memoization is off. */
+    void trimToCapacity();
 
     Config config_;
     Rng rngBase_;
@@ -311,23 +279,18 @@ class IncrementalTemporalEngine
     std::uint64_t periodsClosed_ = 0;
     std::uint64_t firstPeriod_ = 0;
     std::vector<double> partialPeriod_;
-    /** Raw samples of the in-window periods; front() is
-     *  firstPeriod_. Kept so evicted cache entries can always be
-     *  re-solved. */
-    std::deque<std::vector<double>> windowSamples_;
+    /** The memo ring, one slot per in-window period; front() is
+     *  firstPeriod_ and slides out with it in closePeriod. */
+    std::deque<Slot> window_;
     /** Sampled mode: permutation p of [0, W), forked once from the
      *  seed and reused across every window. */
     std::vector<std::vector<std::size_t>> permutations_;
-    /** The pluggable memo store; null when cacheCapacity is 0. */
-    std::unique_ptr<cache::BlobStore> store_;
-    /** Reused buffer for serialized blobs (both directions). */
-    std::vector<std::uint8_t> blobBuffer_;
-    /** Decode target for cache hits, so periodSolveFor can hand back
-     *  a reference that stays valid until the next fetch. */
-    CacheEntry hitEntry_;
-    /** Holds the latest fresh solve, so periodSolveFor can hand back
-     *  a reference whether or not a store exists. */
-    CacheEntry scratch_;
+    /** Cached top-level phi of the window starting at phiFirst_. */
+    std::optional<std::vector<double>> phi_;
+    std::uint64_t phiFirst_ = 0;
+    std::uint64_t phiSum_ = 0;
+    /** Resident entries: solved slots plus the window phi. */
+    std::size_t resident_ = 0;
     CacheStats stats_;
 };
 

@@ -157,9 +157,9 @@ class SurrogateTemporalEngine
     }
     std::size_t cacheSize() const { return engine_->cacheSize(); }
     bool
-    corruptCacheEntryForTest(std::size_t byte_offset = 0)
+    corruptCacheEntryForTest(std::size_t word_offset = 0)
     {
-        return engine_->corruptCacheEntryForTest(byte_offset);
+        return engine_->corruptCacheEntryForTest(word_offset);
     }
 
     const Config &config() const { return config_; }

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "carbon/amortization.hh"
@@ -356,6 +357,138 @@ TEST(IncrementalEngine, CorruptionThrowsCacheIntegrityError)
         engine.pushSample(s);
     (void)engine.computeWindow(1000.0);
     ASSERT_TRUE(engine.corruptCacheEntryForTest());
+    EXPECT_THROW((void)engine.computeWindow(1000.0),
+                 CacheIntegrityError);
+}
+
+/** Push one full period of @p samples starting at period @p p. */
+void
+pushPeriod(IncrementalTemporalEngine &engine,
+           const std::vector<double> &samples, std::size_t p,
+           std::size_t M)
+{
+    for (std::size_t i = 0; i < M; ++i)
+        engine.pushSample(samples[p * M + i]);
+}
+
+TEST(IncrementalEngine, RingAccountingIsExactAtFullCapacity)
+{
+    obs::resetForTest();
+    obs::setEnabled(true);
+    const std::size_t W = 5, M = 6;
+    const auto samples = syntheticDemand(16 * M, 73);
+    IncrementalTemporalEngine engine(engineConfig(W, M, {3}, W + 1));
+    for (std::size_t p = 0; p < W; ++p)
+        pushPeriod(engine, samples, p, M);
+    (void)engine.computeWindow(900.0);
+    EXPECT_EQ(engine.cacheSize(), W + 1);
+
+    for (std::size_t p = W; p < 16; ++p) {
+        const CacheStats before = engine.cacheStats();
+        pushPeriod(engine, samples, p, M);
+        (void)engine.computeNewestPeriod(900.0);
+        const CacheStats &after = engine.cacheStats();
+        // W-1 older slots hit; the new period and the window phi
+        // miss; the period sliding out and its window's phi are
+        // invalidated; nothing is ever evicted.
+        EXPECT_EQ(after.hits - before.hits, W - 1) << "period " << p;
+        EXPECT_EQ(after.misses - before.misses, 2u) << "period " << p;
+        EXPECT_EQ(after.invalidations - before.invalidations, 2u)
+            << "period " << p;
+        EXPECT_EQ(after.evictions, 0u) << "period " << p;
+        EXPECT_EQ(engine.cacheSize(), W + 1) << "period " << p;
+        EXPECT_GT(after.rawBytes, 0u);
+        EXPECT_EQ(after.storedBytes, after.rawBytes);
+    }
+
+    const auto &stats = engine.cacheStats();
+    EXPECT_EQ(obs::counter("shapley.cache.hit").value(), stats.hits);
+    EXPECT_EQ(obs::counter("shapley.cache.miss").value(),
+              stats.misses);
+    EXPECT_EQ(obs::counter("shapley.cache.evict").value(),
+              stats.evictions);
+    EXPECT_EQ(obs::counter("shapley.cache.invalidate").value(),
+              stats.invalidations);
+    obs::resetForTest();
+}
+
+TEST(IncrementalEngine, OutputByteIdenticalAtEveryCapacity)
+{
+    const std::size_t W = 6, M = 8;
+    const auto samples = syntheticDemand(24 * M, 79);
+    const std::vector<double> pools{4200.0, 3100.0};
+    const auto reference = publishedStream(
+        engineConfig(W, M, {4, 2}, 0), samples, pools);
+    ASSERT_FALSE(reference.empty());
+    for (const std::size_t capacity :
+         {std::size_t{1}, W - 1, W, W + 1, std::size_t{256}}) {
+        EXPECT_EQ(publishedStream(engineConfig(W, M, {4, 2}, capacity),
+                                  samples, pools),
+                  reference)
+            << "capacity " << capacity;
+
+        // Residency stays within the capacity between computes.
+        IncrementalTemporalEngine engine(
+            engineConfig(W, M, {4, 2}, capacity));
+        for (std::size_t p = 0; p < 24; ++p) {
+            pushPeriod(engine, samples, p, M);
+            if (!engine.windowReady())
+                continue;
+            (void)engine.computeNewestPeriod(4200.0);
+            EXPECT_LE(engine.cacheSize(), capacity)
+                << "capacity " << capacity << " period " << p;
+        }
+    }
+}
+
+/** An engine one advance past a warm full window: the W-1 older
+ *  slots are resident, the newest period is not solved yet. */
+IncrementalTemporalEngine
+engineReadyToAdvance(const std::vector<double> &samples, std::size_t W,
+                     std::size_t M)
+{
+    IncrementalTemporalEngine engine(engineConfig(W, M, {3}, 64));
+    for (std::size_t p = 0; p < W; ++p)
+        pushPeriod(engine, samples, p, M);
+    (void)engine.computeWindow(1000.0);
+    pushPeriod(engine, samples, W, M);
+    return engine;
+}
+
+TEST(IncrementalEngine, AdvanceCatchesAFlippedHeadWord)
+{
+    const std::size_t W = 4, M = 6;
+    const auto samples = syntheticDemand((W + 1) * M, 83);
+    for (const std::size_t word : {std::size_t{0}, std::size_t{1}}) {
+        auto engine = engineReadyToAdvance(samples, W, M);
+        ASSERT_TRUE(engine.corruptCacheEntryForTest(word));
+        try {
+            (void)engine.computeNewestPeriod(1000.0);
+            FAIL() << "flipped head word " << word << " went unread";
+        } catch (const CacheIntegrityError &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("period 1"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("stored 0x"), std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(IncrementalEngine, AdvanceSkipsTreeWordsAWindowComputeCatches)
+{
+    const std::size_t W = 4, M = 6;
+    const auto samples = syntheticDemand((W + 1) * M, 89);
+    auto clean = engineReadyToAdvance(samples, W, M);
+    const auto expected = clean.computeNewestPeriod(1000.0);
+
+    // Word 4 is the oldest slot's first child phi: part of the tree
+    // an advance never walks for an older period.
+    auto engine = engineReadyToAdvance(samples, W, M);
+    ASSERT_TRUE(engine.corruptCacheEntryForTest(4));
+    const auto published = engine.computeNewestPeriod(1000.0);
+    EXPECT_EQ(published.intensity, expected.intensity);
+    EXPECT_EQ(published.periodGrams, expected.periodGrams);
     EXPECT_THROW((void)engine.computeWindow(1000.0),
                  CacheIntegrityError);
 }

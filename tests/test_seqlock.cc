@@ -16,8 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/backend.hh"
-#include "cache/blobstore.hh"
 #include "common/parallel.hh"
 
 namespace fairco2::parallel
@@ -138,77 +136,6 @@ TEST(SnapshotCell, TortureReadersNeverObserveATornPayload)
     const Laddered last = cell.read();
     EXPECT_TRUE(last.consistent());
     EXPECT_EQ(last.words[0], kPublishes);
-}
-
-// The sharded-rwlock blob store pairs with the CLOCK policy so
-// cache hits proceed under a *shared* lock (a hit only sets an
-// atomic reference bit). Concurrent readers hammer get() while a
-// writer churns put()/erase(); every hit must hand back the exact
-// deterministic payload of its key — a torn or stale block would
-// decode to the wrong bytes. TSan runs this under the server label,
-// so the lock ordering is exercised as well as the data integrity.
-TEST(ShardedBlobStore, ConcurrentReadersSeeOnlyExactPayloads)
-{
-    cache::BackendConfig backend;
-    backend.policy = cache::EvictPolicy::Clock;
-    backend.lock = cache::LockKind::Sharded;
-    backend.codec = cache::Codec::Lz;
-    const auto store = cache::makeBlobStore(backend, 64);
-
-    constexpr std::uint64_t kKeys = 96;
-    const auto payloadFor = [](std::uint64_t key) {
-        std::vector<std::uint8_t> bytes(48 + key % 64);
-        for (std::size_t i = 0; i < bytes.size(); ++i)
-            bytes[i] = static_cast<std::uint8_t>(
-                (key * 131 + i * 29) & 0xff);
-        return bytes;
-    };
-    for (std::uint64_t key = 0; key < kKeys; ++key) {
-        const auto bytes = payloadFor(key);
-        store->put(key, bytes.data(), bytes.size());
-    }
-
-    constexpr int kReaders = 4;
-    std::atomic<bool> stop{false};
-    std::atomic<bool> ok{true};
-    std::atomic<std::uint64_t> hits{0};
-    std::vector<std::thread> readers;
-    readers.reserve(kReaders);
-    for (int r = 0; r < kReaders; ++r) {
-        readers.emplace_back([&, r] {
-            std::vector<std::uint8_t> out;
-            std::uint64_t key = static_cast<std::uint64_t>(r);
-            while (!stop.load(std::memory_order_acquire)) {
-                key = (key + 7) % kKeys;
-                if (!store->get(key, out))
-                    continue;
-                if (out != payloadFor(key))
-                    ok.store(false);
-                hits.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-
-    while (hits.load(std::memory_order_relaxed) == 0)
-        std::this_thread::yield();
-
-    // Writer churn: overwrite and erase across the whole key space
-    // so readers race inserts, evictions, and re-inserts.
-    for (int round = 0; round < 60; ++round) {
-        for (std::uint64_t key = 0; key < kKeys; key += 3) {
-            const auto bytes = payloadFor(key);
-            store->put(key, bytes.data(), bytes.size());
-        }
-        (void)store->erase(static_cast<std::uint64_t>(round) %
-                           kKeys);
-    }
-    stop.store(true, std::memory_order_release);
-    for (auto &reader : readers)
-        reader.join();
-
-    EXPECT_TRUE(ok.load());
-    EXPECT_GT(hits.load(), 0u);
-    EXPECT_LE(store->counters().entries, 64u);
 }
 
 } // namespace

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/backend.hh"
+#include "cache/compr_api.hh"
 #include "common/parallel.hh"
 #include "durability/wal.hh"
 

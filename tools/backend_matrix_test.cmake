@@ -1,10 +1,9 @@
-# CTest script: CLI half of the backend-matrix differential suite.
-# `fairco2 signal --incremental` must write byte-identical output
-# for every --cache-backend / --cache-compress combination (the
-# cache is an optimization, never an input), and the degenerate
-# --cache-capacity 0 request must be rejected with exit 2 and a
-# diagnostic instead of constructing a cache that cannot hold the
-# live window.
+# CTest script: CLI capacity sweep of the incremental engine's memo
+# ring. `fairco2 signal --incremental` must write byte-identical
+# output at every --cache-capacity (the cache is an optimization,
+# never an input), and the degenerate --cache-capacity 0 request must
+# be rejected with exit 2 and a diagnostic instead of constructing a
+# cache that cannot hold the live window.
 
 file(MAKE_DIRECTORY ${WORK_DIR})
 
@@ -21,7 +20,7 @@ set(common_args
     signal --incremental --demand ${demand_csv}
     --pool-grams 1000 --window 4 --period-samples 24 --splits 4,6)
 
-# Reference: the default backend at the default capacity.
+# Reference: the default capacity.
 set(reference_csv ${WORK_DIR}/signal_reference.csv)
 execute_process(
     COMMAND ${FAIRCO2_BIN} ${common_args} --out ${reference_csv}
@@ -31,43 +30,29 @@ if(NOT reference_rc EQUAL 0)
             "reference incremental signal failed: ${reference_err}")
 endif()
 
-# Every backend spec x codec x capacity must reproduce the reference
-# bytes exactly. Capacity 1 maximises eviction churn; 64 keeps the
-# whole window resident.
-set(backends
-    "lru,malloc,mutex" "lru,arena,sharded" "clock,malloc,sharded"
-    "clock,arena,mutex")
-set(codecs identity lz)
-foreach(backend IN LISTS backends)
-    foreach(codec IN LISTS codecs)
-        foreach(capacity 1 64)
-            set(out_csv ${WORK_DIR}/signal_variant.csv)
-            file(REMOVE ${out_csv})
-            execute_process(
-                COMMAND ${FAIRCO2_BIN} ${common_args}
-                        --cache-backend ${backend}
-                        --cache-compress ${codec}
-                        --cache-capacity ${capacity}
-                        --out ${out_csv}
-                RESULT_VARIABLE variant_rc
-                ERROR_VARIABLE variant_err)
-            if(NOT variant_rc EQUAL 0)
-                message(FATAL_ERROR
-                        "backend ${backend}+${codec} cap "
-                        "${capacity} failed: ${variant_err}")
-            endif()
-            execute_process(
-                COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${reference_csv} ${out_csv}
-                RESULT_VARIABLE same_rc)
-            if(NOT same_rc EQUAL 0)
-                message(FATAL_ERROR
-                        "backend ${backend}+${codec} cap "
-                        "${capacity} diverged from the reference "
-                        "signal bytes")
-            endif()
-        endforeach()
-    endforeach()
+# Every capacity must reproduce the reference bytes exactly. 1 and 3
+# evict on every compute, 4 (= W) evicts only the period about to
+# slide out, and 5 (= W+1) and up keep the whole window resident.
+foreach(capacity 1 3 4 5 256)
+    set(out_csv ${WORK_DIR}/signal_variant.csv)
+    file(REMOVE ${out_csv})
+    execute_process(
+        COMMAND ${FAIRCO2_BIN} ${common_args}
+                --cache-capacity ${capacity} --out ${out_csv}
+        RESULT_VARIABLE variant_rc ERROR_VARIABLE variant_err)
+    if(NOT variant_rc EQUAL 0)
+        message(FATAL_ERROR
+                "cache capacity ${capacity} failed: ${variant_err}")
+    endif()
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${reference_csv} ${out_csv}
+        RESULT_VARIABLE same_rc)
+    if(NOT same_rc EQUAL 0)
+        message(FATAL_ERROR
+                "cache capacity ${capacity} diverged from the "
+                "reference signal bytes")
+    endif()
 endforeach()
 
 # Degenerate capacity: exit 2 plus a diagnostic naming the flag, for
@@ -90,25 +75,4 @@ foreach(bad_capacity 0 -3)
     endif()
 endforeach()
 
-# A malformed backend spec or codec must also exit 2 with the valid
-# spellings in the diagnostic.
-execute_process(
-    COMMAND ${FAIRCO2_BIN} ${common_args} --cache-backend fifo
-            --out ${WORK_DIR}/unwritten.csv
-    RESULT_VARIABLE spec_rc ERROR_VARIABLE spec_err)
-if(NOT spec_rc EQUAL 2 OR NOT spec_err MATCHES "cache-backend")
-    message(FATAL_ERROR
-            "bad --cache-backend spec: exit ${spec_rc}, "
-            "diagnostic: ${spec_err}")
-endif()
-execute_process(
-    COMMAND ${FAIRCO2_BIN} ${common_args} --cache-compress zstd
-            --out ${WORK_DIR}/unwritten.csv
-    RESULT_VARIABLE codec_rc ERROR_VARIABLE codec_err)
-if(NOT codec_rc EQUAL 2 OR NOT codec_err MATCHES "cache-compress")
-    message(FATAL_ERROR
-            "bad --cache-compress codec: exit ${codec_rc}, "
-            "diagnostic: ${codec_err}")
-endif()
-
-message(STATUS "CLI backend matrix byte-identical OK")
+message(STATUS "CLI cache-capacity sweep byte-identical OK")

@@ -7,9 +7,7 @@
  *                    [--column demand] [--step-seconds 300]
  *                    [--splits 10,9,8,12] [--incremental
  *                    --window 24 --period-samples 0
- *                    --cache-capacity 64
- *                    --cache-backend lru,malloc,mutex
- *                    --cache-compress identity]
+ *                    --cache-capacity 64]
  *                    [--surrogate --surrogate-model m.fc2s
  *                    --surrogate-tol 0.01] --out signal.csv
  *   fairco2 bill     --signal signal.csv --usage usage.csv
@@ -26,8 +24,6 @@
  *                    [--admission-rate 0] [--duration-periods 48]
  *                    [--window 8] [--period-samples 12]
  *                    [--cache-capacity 64] [--seed 42]
- *                    [--cache-backend lru,malloc,mutex]
- *                    [--cache-compress identity]
  *                    [--wal-dir wal/ [--recover] [--standby]
  *                     [--wal-compress] [--wal-segment-records 16]
  *                     [--scrub-periods 8]]
@@ -78,7 +74,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/backend.hh"
+#include "cache/compr_api.hh"
 #include "common/csv.hh"
 #include "common/errors.hh"
 #include "common/flags.hh"
@@ -115,51 +111,6 @@ parseSplits(const std::string &text)
         std::exit(2);
     }
 }
-
-/** Shared `--cache-backend`/`--cache-compress` flag plumbing for the
- *  commands that own an incremental engine. Every backend combination
- *  publishes byte-identical signals (ctest -L backends proves it), so
- *  these are pure capacity/CPU trade-offs, never correctness knobs. */
-struct CacheBackendFlags
-{
-    std::string backendText =
-        cache::backendSpec(cache::defaultBackend());
-    std::string compressText =
-        cache::codecName(cache::defaultBackend().codec);
-
-    void add(FlagSet &flags)
-    {
-        flags.addString("cache-backend", &backendText,
-                        "memo-cache backend spec "
-                        "policy[,alloc[,lock]] from lru|clock, "
-                        "malloc|arena, mutex|sharded (results are "
-                        "byte-identical for every combination)");
-        flags.addString("cache-compress", &compressText,
-                        "memo-cache blob codec: identity | lz "
-                        "(lz trades CPU for more windows per MiB)");
-    }
-
-    /** Parse both flags; malformed specs exit 2 like any bad flag. */
-    cache::BackendConfig apply() const
-    {
-        cache::BackendConfig backend;
-        try {
-            backend = cache::parseBackendSpec(backendText);
-        } catch (const std::invalid_argument &error) {
-            std::fprintf(stderr, "error: --cache-backend: %s\n",
-                         error.what());
-            std::exit(2);
-        }
-        try {
-            backend.codec = cache::parseCodec(compressText);
-        } catch (const std::invalid_argument &error) {
-            std::fprintf(stderr, "error: --cache-compress: %s\n",
-                         error.what());
-            std::exit(2);
-        }
-        return backend;
-    }
-};
 
 /** Shared `--surrogate`/`--surrogate-model`/`--surrogate-tol`
  *  plumbing for the commands that can run the guardrailed learned
@@ -301,8 +252,6 @@ runSignal(int argc, char **argv)
     flags.addInt("cache-capacity", &cache_capacity,
                  "incremental: sub-game memo entries (must be "
                  ">= 1)");
-    CacheBackendFlags cache_flags;
-    cache_flags.add(flags);
     SurrogateFlags surrogate_flags;
     surrogate_flags.add(flags);
     flags.addString("out", &out_path, "output CSV path");
@@ -317,7 +266,6 @@ runSignal(int argc, char **argv)
     parallel::applyThreadsFlag(threads);
     obs::applyObsFlags(obs_flags);
     res.apply();
-    const cache::BackendConfig cache_backend = cache_flags.apply();
     const auto surrogate_model = surrogate_flags.apply();
     FAIRCO2_SPAN("cli.signal");
     if (demand_path.empty() || pool_grams <= 0.0) {
@@ -407,7 +355,7 @@ runSignal(int argc, char **argv)
                 inner_splits,
                 static_cast<std::size_t>(cache_capacity),
                 surrogate_model, surrogate_flags.tolerance,
-                &res.plan, cache_backend);
+                &res.plan);
             surrogate_accepts = result.surrogateAccepts;
             surrogate_rejects = result.surrogateRejects;
         } else {
@@ -416,8 +364,7 @@ runSignal(int argc, char **argv)
                 static_cast<std::size_t>(window_periods),
                 static_cast<std::size_t>(period_samples),
                 inner_splits,
-                static_cast<std::size_t>(cache_capacity), &res.plan,
-                cache_backend);
+                static_cast<std::size_t>(cache_capacity), &res.plan);
         }
         intensity = std::move(result.intensity);
         attributed_grams = result.attributedGrams;
@@ -751,8 +698,6 @@ runServe(int argc, char **argv)
     flags.addInt("cache-capacity", &cache_capacity,
                  "per-engine sub-game memo entries (0: memoization "
                  "off)");
-    CacheBackendFlags cache_flags;
-    cache_flags.add(flags);
     SurrogateFlags surrogate_flags;
     surrogate_flags.add(flags);
     flags.addInt("max-batch-periods", &max_batch_periods,
@@ -804,7 +749,6 @@ runServe(int argc, char **argv)
     parallel::applyThreadsFlag(threads);
     obs::applyObsFlags(obs_flags);
     res.apply();
-    const cache::BackendConfig cache_backend = cache_flags.apply();
     const auto surrogate_model = surrogate_flags.apply();
     FAIRCO2_SPAN("cli.serve");
     if (tenants <= 0 || shards <= 0 ||
@@ -860,7 +804,6 @@ runServe(int argc, char **argv)
     config.windowPeriods = static_cast<std::size_t>(window_periods);
     config.periodSamples = static_cast<std::size_t>(period_samples);
     config.cacheCapacity = static_cast<std::size_t>(cache_capacity);
-    config.cacheBackend = cache_backend;
     config.maxBatchPeriods =
         static_cast<std::size_t>(max_batch_periods);
     config.poolGramsPerSecond = pool_rate;
