@@ -10,19 +10,17 @@ namespace fairco2::core
 namespace
 {
 
-shapley::SurrogateTemporalEngine::Config
+shapley::IncrementalTemporalEngine::Config
 engineConfigFor(const IncrementalSignalCore::Config &config)
 {
-    shapley::SurrogateTemporalEngine::Config sc;
-    sc.engine.windowPeriods = config.windowPeriods;
-    sc.engine.periodSamples = config.periodSamples;
-    sc.engine.stepSeconds = config.stepSeconds;
-    sc.engine.innerSplits = config.innerSplits;
-    sc.engine.cacheCapacity = config.cacheCapacity;
-    sc.engine.seed = config.seed;
-    sc.model = config.surrogateModel;
-    sc.tolerance = config.surrogateTol;
-    return sc;
+    shapley::IncrementalTemporalEngine::Config ec;
+    ec.windowPeriods = config.windowPeriods;
+    ec.periodSamples = config.periodSamples;
+    ec.stepSeconds = config.stepSeconds;
+    ec.innerSplits = config.innerSplits;
+    ec.cacheCapacity = config.cacheCapacity;
+    ec.seed = config.seed;
+    return ec;
 }
 
 double
@@ -40,24 +38,10 @@ meanOf(const std::vector<double> &values)
 
 IncrementalSignalCore::IncrementalSignalCore(const Config &config)
     : config_(config),
-      engine_(std::make_unique<shapley::SurrogateTemporalEngine>(
+      engine_(std::make_unique<shapley::IncrementalTemporalEngine>(
           engineConfigFor(config)))
 {
     partial_.reserve(config_.periodSamples);
-}
-
-shapley::SurrogateTemporalEngine::Counters
-IncrementalSignalCore::surrogateCounters() const
-{
-    shapley::SurrogateTemporalEngine::Counters out = countersBase_;
-    const auto &live = engine_->counters();
-    out.accepts += live.accepts;
-    out.rejects += live.rejects;
-    out.rejectStructure += live.rejectStructure;
-    out.rejectOutOfDistribution += live.rejectOutOfDistribution;
-    out.rejectResidual += live.rejectResidual;
-    out.rejectDegenerate += live.rejectDegenerate;
-    return out;
 }
 
 double
@@ -88,11 +72,8 @@ IncrementalSignalCore::rebuildEngine()
 {
     // Memoization is an optimization, never an input: a fresh
     // engine replaying the retained window samples reproduces the
-    // corrupted engine's intended output bit for bit. Fold the
-    // discarded engine's surrogate decisions into the stream base
-    // so surrogateCounters() stays monotonic across rebuilds.
-    countersBase_ = surrogateCounters();
-    engine_ = std::make_unique<shapley::SurrogateTemporalEngine>(
+    // corrupted engine's intended output bit for bit.
+    engine_ = std::make_unique<shapley::IncrementalTemporalEngine>(
         engineConfigFor(config_));
     for (const std::vector<double> &period : retained_)
         for (double sample : period)

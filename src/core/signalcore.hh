@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "shapley/incremental.hh"
-#include "shapley/surrogate.hh"
 
 namespace fairco2::core
 {
@@ -55,12 +54,6 @@ class IncrementalSignalCore
          *  the window — windowPoolGrams() applies it. */
         double poolGramsPerSecond = 1.0;
         std::uint64_t seed = 42;
-        /** Trained surrogate model; null keeps the engine exact
-         *  (pure delegation, bitwise identical publications). */
-        std::shared_ptr<const surrogate::SurrogateModel>
-            surrogateModel;
-        /** Residual-guardrail share tolerance for the surrogate. */
-        double surrogateTol = 0.01;
     };
 
     /** What one newest-period publication produced. */
@@ -145,28 +138,13 @@ class IncrementalSignalCore
         return engine_->cacheStats();
     }
 
-    /** Surrogate decision counters over the stream's lifetime —
-     *  engine rebuilds do not reset them (the pre-rebuild totals
-     *  are folded into a base, mirroring periodsClosed()). */
-    shapley::SurrogateTemporalEngine::Counters
-    surrogateCounters() const;
-
-    /** Decision of the most recent compute (false when the
-     *  surrogate is off or nothing was computed yet). */
-    bool surrogateLastAccepted() const
-    {
-        return engine_->lastAccepted();
-    }
-
     const Config &config() const { return config_; }
 
   private:
     void rebuildEngine();
 
     Config config_;
-    std::unique_ptr<shapley::SurrogateTemporalEngine> engine_;
-    /** Decision totals of engines discarded by rebuilds. */
-    shapley::SurrogateTemporalEngine::Counters countersBase_;
+    std::unique_ptr<shapley::IncrementalTemporalEngine> engine_;
     /** Samples of the current partial period. */
     std::vector<double> partial_;
     /** Raw samples of the in-window closed periods — the rebuild

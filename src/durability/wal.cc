@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <system_error>
 
 #include "cache/compr_api.hh"
@@ -296,6 +297,35 @@ readFileBytes(const std::string &path)
     return bytes;
 }
 
+/** Throw naming @p path and errno unless the stdio call @p what
+ *  succeeded — a lost write must never pass for a commit. */
+void
+requireIo(bool ok, const char *what, const std::string &path)
+{
+    if (ok)
+        return;
+    const int error = errno; // before any allocation can clobber it
+    throw WalIntegrityError(std::string("cannot ") + what +
+                            " wal segment '" + path + "': " +
+                            std::strerror(error));
+}
+
+/** Closes a FILE on scope exit (error paths; success paths close
+ *  explicitly so the result is checked). */
+struct FileCloser
+{
+    void operator()(std::FILE *file) const { std::fclose(file); }
+};
+
+/** fwrite all of @p bytes to @p file or throw naming @p path. */
+void
+writeAll(std::FILE *file, const std::vector<std::uint8_t> &bytes,
+         std::size_t n, const std::string &path)
+{
+    requireIo(std::fwrite(bytes.data(), 1, n, file) == n, "write",
+              path);
+}
+
 /** Validate a segment header; throws naming the defect. */
 std::uint64_t
 checkHeader(const std::vector<std::uint8_t> &bytes,
@@ -341,9 +371,7 @@ WalTickRecord::operator==(const WalTickRecord &other) const
         bucketTokens[0] == other.bucketTokens[0] &&
         bucketTokens[1] == other.bucketTokens[1] &&
         bucketTokens[2] == other.bucketTokens[2] &&
-        overloadLevel == other.overloadLevel &&
-        surrogateAccepts == other.surrogateAccepts &&
-        surrogateRejects == other.surrogateRejects;
+        overloadLevel == other.overloadLevel;
 }
 
 std::vector<std::uint8_t>
@@ -364,8 +392,6 @@ encodeRecord(const WalTickRecord &record)
     for (std::uint64_t tokens : record.bucketTokens)
         putU64(out, tokens);
     putU32(out, record.overloadLevel);
-    putU64(out, record.surrogateAccepts);
-    putU64(out, record.surrogateRejects);
     return out;
 }
 
@@ -388,8 +414,6 @@ decodeRecord(const std::vector<std::uint8_t> &bytes)
     for (std::uint64_t &tokens : record.bucketTokens)
         tokens = in.u64();
     record.overloadLevel = in.u32();
-    record.surrogateAccepts = in.u64();
-    record.surrogateRejects = in.u64();
     if (in.pos != bytes.size())
         throw WalIntegrityError(
             "wal record has " +
@@ -506,6 +530,15 @@ loadWal(const std::string &dir, std::uint64_t config_hash)
                 std::to_string(index) + ", expected " +
                 std::to_string(expect_index));
         const auto bytes = readFileBytes(path);
+        // A kill before the tail's first flush leaves fewer bytes
+        // than a header: a torn tail with no records, not damage.
+        if (bytes.size() < kHeaderBytes) {
+            result.droppedTail = true;
+            result.tailDiagnostic = "dropped torn wal tail of '" +
+                path + "': " + std::to_string(bytes.size()) +
+                " bytes, shorter than its header";
+            return result;
+        }
         const std::uint64_t first =
             checkHeader(bytes, path, config_hash);
         if (first != result.records.size())
@@ -564,15 +597,11 @@ WalWriter::~WalWriter()
 void
 WalWriter::openSegment()
 {
-    const std::string path =
-        segmentPath(options_.dir, segmentIndex_, false);
-    file_ = std::fopen(path.c_str(), "wb");
-    if (file_ == nullptr)
-        throw WalIntegrityError("cannot create wal segment '" +
-                                path + "': " +
-                                std::strerror(errno));
+    path_ = segmentPath(options_.dir, segmentIndex_, false);
+    file_ = std::fopen(path_.c_str(), "wb");
+    requireIo(file_ != nullptr, "create", path_);
     const auto header = headerBytes(options_.configHash, records_);
-    std::fwrite(header.data(), 1, header.size(), file_);
+    writeAll(file_, header, header.size(), path_);
     segmentRecords_ = 0;
 }
 
@@ -584,10 +613,10 @@ WalWriter::writeFrame(const WalTickRecord &record, bool torn)
     std::uint64_t raw = 0;
     const auto frame = frameBytes(record, options_.codec, &raw);
     const std::size_t n = torn ? frame.size() / 2 : frame.size();
-    std::fwrite(frame.data(), 1, n, file_);
+    writeAll(file_, frame, n, path_);
     // The group commit: one flush per arrival tick, so a kill after
     // this point can only lose ticks that never returned.
-    std::fflush(file_);
+    requireIo(std::fflush(file_) == 0, "flush", path_);
     if (torn)
         return;
     rawBytes_ += raw;
@@ -616,19 +645,18 @@ WalWriter::seal()
 {
     if (file_ == nullptr || segmentRecords_ == 0)
         return;
-    std::fflush(file_);
-    std::fclose(file_);
+    const bool flushed = std::fflush(file_) == 0;
+    const bool closed = std::fclose(file_) == 0;
     file_ = nullptr;
-    const std::string open_path =
-        segmentPath(options_.dir, segmentIndex_, false);
+    requireIo(flushed && closed, "close", path_);
     const std::string sealed_path =
         segmentPath(options_.dir, segmentIndex_, true);
     // The atomic seal: readers only ever see a complete .seg.
     std::error_code ec;
-    fs::rename(open_path, sealed_path, ec);
+    fs::rename(path_, sealed_path, ec);
     if (ec)
         throw WalIntegrityError("cannot seal wal segment '" +
-                                open_path + "': " + ec.message());
+                                path_ + "': " + ec.message());
     const std::uint64_t index = segmentIndex_;
     ++segmentIndex_;
     ++sealed_;
@@ -644,37 +672,31 @@ WalWriter::adoptTail(const std::vector<WalTickRecord> &records)
         records_ != options_.firstRecordIndex)
         throw std::logic_error(
             "WalWriter::adoptTail: call before the first append");
-    const std::string open_path =
-        segmentPath(options_.dir, segmentIndex_, false);
-    const std::string tmp_path = open_path + ".tmp";
-    std::FILE *tmp = std::fopen(tmp_path.c_str(), "wb");
-    if (tmp == nullptr)
-        throw WalIntegrityError("cannot rewrite wal tail '" +
-                                open_path + "': " +
-                                std::strerror(errno));
+    path_ = segmentPath(options_.dir, segmentIndex_, false);
+    const std::string tmp_path = path_ + ".tmp";
+    std::unique_ptr<std::FILE, FileCloser> tmp(
+        std::fopen(tmp_path.c_str(), "wb"));
+    requireIo(tmp != nullptr, "create", tmp_path);
     const auto header = headerBytes(options_.configHash, records_);
-    std::fwrite(header.data(), 1, header.size(), tmp);
+    writeAll(tmp.get(), header, header.size(), tmp_path);
     for (const WalTickRecord &record : records) {
         std::uint64_t raw = 0;
         const auto frame = frameBytes(record, options_.codec, &raw);
-        std::fwrite(frame.data(), 1, frame.size(), tmp);
+        writeAll(tmp.get(), frame, frame.size(), tmp_path);
         rawBytes_ += raw;
         storedBytes_ += frame.size();
     }
-    std::fflush(tmp);
-    std::fclose(tmp);
+    requireIo(std::fflush(tmp.get()) == 0, "flush", tmp_path);
+    requireIo(std::fclose(tmp.release()) == 0, "close", tmp_path);
     std::error_code ec;
-    fs::rename(tmp_path, open_path, ec);
+    fs::rename(tmp_path, path_, ec);
     if (ec)
         throw WalIntegrityError("cannot rewrite wal tail '" +
-                                open_path + "': " + ec.message());
+                                path_ + "': " + ec.message());
     records_ += records.size();
     segmentRecords_ = records.size();
-    file_ = std::fopen(open_path.c_str(), "ab");
-    if (file_ == nullptr)
-        throw WalIntegrityError("cannot reopen wal tail '" +
-                                open_path + "': " +
-                                std::strerror(errno));
+    file_ = std::fopen(path_.c_str(), "ab");
+    requireIo(file_ != nullptr, "reopen", path_);
     // A fully repopulated tail seals exactly as a live append would
     // have, so recovery converges on the uninterrupted layout.
     if (segmentRecords_ >= options_.segmentRecords)

@@ -42,9 +42,15 @@
  * — sealed history is never silently shortened. The `.open` tail is
  * different: a kill -9 can tear its last record, so the loader keeps
  * the longest valid record prefix and *drops* the tail from the
- * first bad checksum on, reporting a named diagnostic. Either way a
- * flipped byte surfaces as an error or a dropped suffix — never as a
- * wrong replayed value.
+ * first bad checksum on, reporting a named diagnostic. A kill before
+ * the tail's first flush leaves it shorter than its header; that is
+ * the same torn tail, holding no records. Either way a flipped byte
+ * surfaces as an error or a dropped suffix — never as a wrong
+ * replayed value.
+ *
+ * The writer checks every stdio call: a failed write, flush, or
+ * close (a full disk) throws WalIntegrityError naming the segment,
+ * so a tick is never reported committed while its bytes are lost.
  */
 
 #ifndef FAIRCO2_DURABILITY_WAL_HH
@@ -73,9 +79,10 @@ class WalIntegrityError : public FatalDataError
     }
 };
 
-/** WAL segment format version. Version 2 added the running
- *  surrogate accept/reject totals to every tick record. */
-constexpr std::uint32_t kWalVersion = 2;
+/** WAL segment format version. Version 3 dropped the two u64
+ *  model-decision totals that version 2 appended to every tick
+ *  record; a version-2 log fails loadWal by name. */
+constexpr std::uint32_t kWalVersion = 3;
 
 /** One telemetry batch as logged: mirrors server::BatchRef without
  *  depending on the server layer. */
@@ -118,12 +125,6 @@ struct WalTickRecord
     std::uint64_t totalRejected = 0;
     std::uint64_t bucketTokens[3] = {0, 0, 0};
     std::uint32_t overloadLevel = 0;
-    /** Running fleet-engine surrogate decision totals *after* the
-     *  tick. Replay re-drives the same guardrail evaluations and
-     *  cross-checks these, so `--recover` provably reproduced every
-     *  accept/reject decision (zeros when `--surrogate` is off). */
-    std::uint64_t surrogateAccepts = 0;
-    std::uint64_t surrogateRejects = 0;
 
     bool operator==(const WalTickRecord &other) const;
 };
@@ -240,6 +241,7 @@ class WalWriter
 
     Options options_;
     std::FILE *file_ = nullptr;
+    std::string path_;                 //!< file_'s path, for errors
     std::uint64_t segmentIndex_ = 0;   //!< current open segment
     std::uint64_t segmentRecords_ = 0; //!< records in it so far
     std::uint64_t records_ = 0;

@@ -9,104 +9,9 @@
 #include "shapley/exact.hh"
 #include "shapley/incremental.hh"
 #include "shapley/peak.hh"
-#include "shapley/surrogate.hh"
 
 namespace fairco2::pipeline
 {
-
-namespace
-{
-
-/** Clamp the sliding-window shape to the trace: W periods of M
- *  samples (M == 0 derives a period size that makes the window span
- *  half the trace, so the replay always slides). */
-void
-deriveWindowShape(std::size_t n, std::size_t window_periods,
-                  std::size_t period_samples, std::size_t &w_out,
-                  std::size_t &m_out)
-{
-    const std::size_t W =
-        std::max<std::size_t>(1, std::min(window_periods, n));
-    const std::size_t max_m = n / W;
-    w_out = W;
-    m_out = period_samples == 0
-        ? std::max<std::size_t>(1, n / (2 * W))
-        : std::max<std::size_t>(1,
-                                std::min(period_samples, max_m));
-}
-
-/** The sliding replay both streaming rungs share: push the trace
- *  through @p engine period by period, publish the first full window
- *  then every newest-period advance into @p values, and integrate
- *  the published mass so attributed + unattributed == pool by
- *  construction. Works for IncrementalTemporalEngine and its
- *  surrogate wrapper (identical compute surface). */
-template <typename Engine>
-void
-slideAndPublish(Engine &engine, const trace::TimeSeries &window,
-                double pool_grams, double pool_window,
-                std::size_t W, std::size_t M,
-                const resilience::FaultPlan *plan,
-                AttributionOutput &out)
-{
-    const std::size_t n = window.size();
-    std::vector<double> values(n, 0.0);
-    const std::size_t total_periods = n / M;
-    const auto &samples = window.values();
-    std::uint64_t closed = 0;
-    for (std::size_t p = 0; p < total_periods; ++p) {
-        for (std::size_t i = 0; i < M; ++i)
-            engine.pushSample(samples[p * M + i]);
-        if (engine.periodsClosed() == closed)
-            continue;
-        closed = engine.periodsClosed();
-        if (!engine.windowReady())
-            continue;
-        if (closed == W) {
-            // First full window: publish all W periods at once.
-            const auto full = engine.computeWindow(pool_window);
-            const auto &intensity = full.intensity.values();
-            std::copy(intensity.begin(), intensity.end(),
-                      values.begin());
-            out.leafPeriods += full.leafPeriods;
-            out.operations += full.operations;
-            continue;
-        }
-        // A window advance: optionally corrupt the warm cache first
-        // (the `cache-corrupt` fault key), then publish only the
-        // newest period's share.
-        const std::uint64_t advance = closed - W;
-        if (plan != nullptr &&
-            plan->fires(resilience::FaultSite::CacheCorrupt,
-                        advance) &&
-            engine.corruptCacheEntryForTest()) {
-            plan->noteInjected();
-            FAIRCO2_COUNT("resilience.fault.cache_corrupt", 1);
-        }
-        const auto advance_result =
-            engine.computeNewestPeriod(pool_window);
-        std::copy(advance_result.intensity.begin(),
-                  advance_result.intensity.end(),
-                  values.begin() +
-                      static_cast<std::ptrdiff_t>((closed - 1) * M));
-        out.leafPeriods += advance_result.leafPeriods;
-        out.operations += advance_result.operations;
-    }
-
-    // Conservation by construction: whatever intensity mass the
-    // sliding publication left on the trace is attributed, the rest
-    // of the pool (including any tail samples past the last full
-    // period) stays unattributed.
-    double attributed = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        attributed += values[i] * samples[i];
-    out.attributedGrams = attributed * window.stepSeconds();
-    out.unattributedGrams = pool_grams - out.attributedGrams;
-    out.intensity = trace::TimeSeries(std::move(values),
-                                      window.stepSeconds());
-}
-
-} // namespace
 
 AttributionOutput
 attributeExact(const trace::TimeSeries &window, double pool_grams,
@@ -208,8 +113,14 @@ attributeIncremental(const trace::TimeSeries &window,
         return out;
     }
 
-    std::size_t W, M;
-    deriveWindowShape(n, window_periods, period_samples, W, M);
+    // Clamp the sliding-window shape to the trace: W periods of M
+    // samples (M == 0 derives a period size that makes the window
+    // span half the trace, so the replay always slides).
+    const std::size_t W =
+        std::max<std::size_t>(1, std::min(window_periods, n));
+    const std::size_t M = period_samples == 0
+        ? std::max<std::size_t>(1, n / (2 * W))
+        : std::max<std::size_t>(1, std::min(period_samples, n / W));
 
     shapley::IncrementalTemporalEngine::Config config;
     config.windowPeriods = W;
@@ -225,49 +136,63 @@ attributeIncremental(const trace::TimeSeries &window,
     const double pool_window =
         pool_grams * static_cast<double>(W * M) /
         static_cast<double>(n);
-    slideAndPublish(engine, window, pool_grams, pool_window, W, M,
-                    plan, out);
-    return out;
-}
 
-AttributionOutput
-attributeSurrogate(
-    const trace::TimeSeries &window, double pool_grams,
-    std::size_t window_periods, std::size_t period_samples,
-    const std::vector<std::size_t> &inner_splits,
-    std::size_t cache_capacity,
-    std::shared_ptr<const surrogate::SurrogateModel> model,
-    double tolerance, const resilience::FaultPlan *plan)
-{
-    FAIRCO2_SPAN("pipeline.attribute.surrogate");
-    AttributionOutput out;
-    const std::size_t n = window.size();
-    if (n == 0) {
-        out.intensity = window;
-        out.unattributedGrams = pool_grams;
-        return out;
+    // Push the trace period by period; publish the first full window,
+    // then every newest-period advance.
+    std::vector<double> values(n, 0.0);
+    const std::size_t total_periods = n / M;
+    const auto &samples = window.values();
+    std::uint64_t closed = 0;
+    for (std::size_t p = 0; p < total_periods; ++p) {
+        for (std::size_t i = 0; i < M; ++i)
+            engine.pushSample(samples[p * M + i]);
+        if (engine.periodsClosed() == closed)
+            continue;
+        closed = engine.periodsClosed();
+        if (!engine.windowReady())
+            continue;
+        if (closed == W) {
+            // First full window: publish all W periods at once.
+            const auto full = engine.computeWindow(pool_window);
+            const auto &intensity = full.intensity.values();
+            std::copy(intensity.begin(), intensity.end(),
+                      values.begin());
+            out.leafPeriods += full.leafPeriods;
+            out.operations += full.operations;
+            continue;
+        }
+        // A window advance: optionally corrupt the warm cache first
+        // (the `cache-corrupt` fault key), then publish only the
+        // newest period's share.
+        const std::uint64_t advance = closed - W;
+        if (plan != nullptr &&
+            plan->fires(resilience::FaultSite::CacheCorrupt,
+                        advance) &&
+            engine.corruptCacheEntryForTest()) {
+            plan->noteInjected();
+            FAIRCO2_COUNT("resilience.fault.cache_corrupt", 1);
+        }
+        const auto advance_result =
+            engine.computeNewestPeriod(pool_window);
+        std::copy(advance_result.intensity.begin(),
+                  advance_result.intensity.end(),
+                  values.begin() +
+                      static_cast<std::ptrdiff_t>((closed - 1) * M));
+        out.leafPeriods += advance_result.leafPeriods;
+        out.operations += advance_result.operations;
     }
 
-    std::size_t W, M;
-    deriveWindowShape(n, window_periods, period_samples, W, M);
-
-    shapley::SurrogateTemporalEngine::Config config;
-    config.engine.windowPeriods = W;
-    config.engine.periodSamples = M;
-    config.engine.stepSeconds = window.stepSeconds();
-    config.engine.innerSplits = inner_splits;
-    config.engine.cacheCapacity = cache_capacity;
-    config.model = std::move(model);
-    config.tolerance = tolerance;
-    shapley::SurrogateTemporalEngine engine(config);
-
-    const double pool_window =
-        pool_grams * static_cast<double>(W * M) /
-        static_cast<double>(n);
-    slideAndPublish(engine, window, pool_grams, pool_window, W, M,
-                    plan, out);
-    out.surrogateAccepts = engine.counters().accepts;
-    out.surrogateRejects = engine.counters().rejects;
+    // Conservation by construction: whatever intensity mass the
+    // sliding publication left on the trace is attributed, the rest
+    // of the pool (including any tail samples past the last full
+    // period) stays unattributed.
+    double attributed = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        attributed += values[i] * samples[i];
+    out.attributedGrams = attributed * window.stepSeconds();
+    out.unattributedGrams = pool_grams - out.attributedGrams;
+    out.intensity = trace::TimeSeries(std::move(values),
+                                      window.stepSeconds());
     return out;
 }
 

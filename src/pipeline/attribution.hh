@@ -2,16 +2,9 @@
  * @file
  * The Shapley stage's degradation ladder.
  *
- * Up to five rungs, all of which preserve the efficiency axiom
+ * Up to four rungs, all of which preserve the efficiency axiom
  * (attributed + unattributed == pool) by construction:
  *
- *  - surrogate (only when PipelineConfig enables it): the
- *    guardrailed learned surrogate (shapley::SurrogateTemporalEngine)
- *    streams the same sliding window as the incremental rung but
- *    publishes model-predicted per-period shares whenever the
- *    guardrails hold, falling back to the wrapped exact engine
- *    per-advance otherwise; a CacheIntegrityError on the exact path
- *    still crashes the attempt and descends a rung.
  *  - incremental (only when PipelineConfig enables it): the
  *    sliding-window IncrementalTemporalEngine streams the demand
  *    window period by period, memoizing sub-game solves; a
@@ -39,11 +32,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/surrogate.hh"
 #include "trace/timeseries.hh"
 
 namespace fairco2::resilience
@@ -76,9 +67,6 @@ struct AttributionOutput
     double unattributedGrams = 0.0; //!< pool minus attributed
     std::size_t leafPeriods = 0;    //!< attribution granularity
     std::uint64_t operations = 0;   //!< solver work (level 0 only)
-    /** Surrogate rung only: decisions taken while sliding. */
-    std::uint64_t surrogateAccepts = 0;
-    std::uint64_t surrogateRejects = 0;
 };
 
 /** Level 0: exact hierarchical Temporal Shapley. */
@@ -126,25 +114,6 @@ attributeIncremental(const trace::TimeSeries &window,
                      const std::vector<std::size_t> &inner_splits,
                      std::size_t cache_capacity,
                      const resilience::FaultPlan *plan = nullptr);
-
-/**
- * Surrogate rung: attributeIncremental's sliding replay driven
- * through a guardrailed shapley::SurrogateTemporalEngine with
- * @p model and residual tolerance @p tolerance. Accepted advances
- * publish model-predicted shares (rescaled to the exact total, so
- * efficiency holds by construction); rejected advances fall through
- * to the wrapped exact engine in place. Decision totals land in the
- * output's surrogateAccepts/surrogateRejects. A null @p model makes
- * this bitwise attributeIncremental. CacheIntegrityError from the
- * exact path propagates like the incremental rung's.
- */
-AttributionOutput attributeSurrogate(
-    const trace::TimeSeries &window, double pool_grams,
-    std::size_t window_periods, std::size_t period_samples,
-    const std::vector<std::size_t> &inner_splits,
-    std::size_t cache_capacity,
-    std::shared_ptr<const surrogate::SurrogateModel> model,
-    double tolerance, const resilience::FaultPlan *plan = nullptr);
 
 } // namespace fairco2::pipeline
 

@@ -119,54 +119,25 @@ runAttributionPipeline(const PipelineConfig &config)
     }
 
     // --- stage 3: shapley ------------------------------------------
-    // Optional rungs grow the ladder at the top; `rungs` maps the
-    // supervisor's attempt level onto the shared rung numbering
-    // (0 surrogate, 1 incremental, 2 exact, 3 sampled,
-    // 4 proportional) so the bodies below stay identical for every
-    // flag combination.
+    // The optional incremental rung sits on top of the ladder; the
+    // offset maps the supervisor's attempt level onto the shared rung
+    // numbering (0 incremental, 1 exact, 2 sampled, 3 proportional)
+    // so the bodies below stay identical with and without it.
     const bool incremental = config.incrementalWindowPeriods > 0;
-    const bool surrogate_on = config.surrogateModel != nullptr;
-    std::vector<std::uint32_t> rungs;
-    if (surrogate_on)
-        rungs.push_back(0);
-    if (incremental)
-        rungs.push_back(1);
-    rungs.push_back(2);
-    rungs.push_back(3);
-    rungs.push_back(4);
-    const auto shapley_max_level =
-        static_cast<std::uint32_t>(rungs.size() - 1);
+    const std::uint32_t rung_offset = incremental ? 0 : 1;
+    const std::uint32_t shapley_max_level =
+        kShapleyMaxLevel + (incremental ? 1 : 0);
     // Periods are leaves of the per-period hierarchy shaped by the
-    // splits below the top level (both sliding rungs share this).
+    // splits below the top level.
     std::vector<std::size_t> inner_splits;
     if (config.splits.size() > 1)
         inner_splits.assign(config.splits.begin() + 1,
                             config.splits.end());
-    const std::size_t sliding_window_periods =
-        config.incrementalWindowPeriods > 0
-        ? config.incrementalWindowPeriods
-        : 24;
     const bool attributed = supervisor.runStage(
         "shapley", shapley_max_level, [&](const StageAttempt &a) {
             StageBodyResult r;
-            const std::uint32_t rung = rungs[a.level];
+            const std::uint32_t rung = a.level + rung_offset;
             if (rung == 0) {
-                result.attribution = attributeSurrogate(
-                    result.window, config.poolGrams,
-                    sliding_window_periods, 0, inner_splits,
-                    config.incrementalCacheCapacity,
-                    config.surrogateModel, config.surrogateTol,
-                    &config.supervisor.faultPlan);
-                r.note = "surrogate attribution (" +
-                    std::to_string(
-                        result.attribution.surrogateAccepts) +
-                    " accepted, " +
-                    std::to_string(
-                        result.attribution.surrogateRejects) +
-                    " exact fallbacks)";
-                r.costMs = costMsFor(
-                    result.attribution.operations, 2, 5);
-            } else if (rung == 1) {
                 result.attribution = attributeIncremental(
                     result.window, config.poolGrams,
                     config.incrementalWindowPeriods, 0,
@@ -176,12 +147,12 @@ runAttributionPipeline(const PipelineConfig &config)
                 r.note = "incremental sliding-window attribution";
                 r.costMs = costMsFor(
                     result.attribution.operations, 2, 5);
-            } else if (rung == 2) {
+            } else if (rung == 1) {
                 result.attribution = attributeExact(
                     result.window, config.poolGrams, config.splits);
                 r.costMs = costMsFor(
                     result.attribution.operations, 2, 10);
-            } else if (rung == 3) {
+            } else if (rung == 2) {
                 // Shrinking trial budget: scale the permutation
                 // count by the remaining share of the deadline and
                 // halve it on every extra attempt at this rung.

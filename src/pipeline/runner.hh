@@ -14,15 +14,13 @@
  *                    stage is optional: even a Failed forecast only
  *                    shrinks the window back to the history.
  *  3. shapley      — attribute the pool over the window. Ladder:
- *                    [guardrailed learned surrogate, only when
- *                    surrogateModel is set] -> [incremental
- *                    sliding-window, only when
+ *                    [incremental sliding-window, only when
  *                    incrementalWindowPeriods > 0] -> exact
  *                    hierarchical -> sampled with a permutation
  *                    budget that shrinks with the remaining deadline
  *                    and the attempt count -> proportional (RUP)
- *                    baseline. A cache-integrity failure on a
- *                    sliding rung (see the fault plan's
+ *                    baseline. A cache-integrity failure on the
+ *                    incremental rung (see the fault plan's
  *                    `cache-corrupt` key) crashes the attempt and
  *                    descends a rung. Required.
  *  4. interference — bill each usage column against the intensity
@@ -79,14 +77,6 @@ struct PipelineConfig
     /** Sub-game LRU capacity for the incremental rung (0 disables
      *  memoization — useful only for differential testing). */
     std::size_t incrementalCacheCapacity = 64;
-
-    /** Trained surrogate model; non-null prepends the guardrailed
-     *  surrogate rung above the (optional) incremental rung. Uses
-     *  incrementalWindowPeriods for its sliding window (default 24
-     *  when that is 0). */
-    std::shared_ptr<const surrogate::SurrogateModel> surrogateModel;
-    /** Residual-guardrail share tolerance for the surrogate rung. */
-    double surrogateTol = 0.01;
 
     /** Output CSV paths; empty keeps results in memory only. */
     std::string signalOutPath;

@@ -77,18 +77,6 @@ serverConfigHash(const ServerConfig &config)
     if (!config.faultPlan.spec().empty())
         hash = fnv1a64(config.faultPlan.spec().data(),
                        config.faultPlan.spec().size(), hash);
-    // The surrogate changes which path publishes the fleet signal,
-    // so the model identity and tolerance are signal-affecting —
-    // a log written with a model replays only against that model.
-    const bool surrogate_on =
-        config.surrogate.enabled && config.surrogate.model;
-    mix(surrogate_on);
-    if (surrogate_on) {
-        mix(config.surrogate.tolerance);
-        const std::uint64_t model_id =
-            config.surrogate.model->checksum();
-        mix(model_id);
-    }
     return hash;
 }
 
@@ -119,20 +107,7 @@ Replica::Replica(const ServerConfig &config,
     for (Shard &shard : shards_)
         shard.core =
             std::make_unique<core::IncrementalSignalCore>(cc);
-    // Only the fleet engine — whose newest-period publication *is*
-    // the served signal — gets the surrogate; shard engines stay
-    // exact so the per-shard intensities remain reference values.
-    if (config_.surrogate.enabled && config_.surrogate.model) {
-        cc.surrogateModel = config_.surrogate.model;
-        cc.surrogateTol = config_.surrogate.tolerance;
-    }
     fleet_ = std::make_unique<core::IncrementalSignalCore>(cc);
-}
-
-shapley::SurrogateTemporalEngine::Counters
-Replica::surrogateCounters() const
-{
-    return fleet_->surrogateCounters();
 }
 
 Replica::~Replica() = default;
@@ -232,12 +207,6 @@ Replica::applyArrivalsLive(std::uint64_t period)
             admission_.bucket(static_cast<TenantClass>(c)).tokens();
     record.overloadLevel =
         static_cast<std::uint32_t>(governor_.level());
-    // Running fleet surrogate decision totals as of this tick: every
-    // accept/reject of the preceding close ticks is on the record,
-    // so replay can prove it re-took the same decisions.
-    const auto surrogate_totals = fleet_->surrogateCounters();
-    record.surrogateAccepts = surrogate_totals.accepts;
-    record.surrogateRejects = surrogate_totals.rejects;
     return record;
 }
 
@@ -303,18 +272,6 @@ Replica::applyArrivalsReplay(const durability::WalTickRecord &record)
     if (level != record.overloadLevel)
         replayDiverged(record.period, "overload level", level,
                        record.overloadLevel);
-    // The replayed fleet engine re-takes every surrogate
-    // accept/reject decision from the same guardrails; its running
-    // totals must match what the primary logged, byte for byte.
-    const auto surrogate_totals = fleet_->surrogateCounters();
-    if (surrogate_totals.accepts != record.surrogateAccepts)
-        replayDiverged(record.period, "surrogate accepts",
-                       surrogate_totals.accepts,
-                       record.surrogateAccepts);
-    if (surrogate_totals.rejects != record.surrogateRejects)
-        replayDiverged(record.period, "surrogate rejects",
-                       surrogate_totals.rejects,
-                       record.surrogateRejects);
 }
 
 Replica::CloseOutcome

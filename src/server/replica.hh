@@ -85,20 +85,6 @@ struct DurabilityOptions
     std::uint64_t haltAtTick = kNoTick;
 };
 
-/** Learned-surrogate knobs for `fairco2 serve` (off by default).
- *  Only the *fleet* engine gets the surrogate — the published fleet
- *  signal is its output — while shard engines stay exact. */
-struct SurrogateOptions
-{
-    /** Use the surrogate on the fleet engine; requires a model. */
-    bool enabled = false;
-    /** Trained model (loaded by the CLI); null with enabled keeps
-     *  the run exact — the warned fallback, never a crash. */
-    std::shared_ptr<const surrogate::SurrogateModel> model;
-    /** Residual-guardrail share tolerance. */
-    double tolerance = 0.01;
-};
-
 /** Everything `fairco2 serve` configures. */
 struct ServerConfig
 {
@@ -123,7 +109,6 @@ struct ServerConfig
     resilience::FaultPlan faultPlan;
     pipeline::OverloadGovernor::Config overload;
     DurabilityOptions durability;
-    SurrogateOptions surrogate;
 };
 
 /**
@@ -187,11 +172,6 @@ class Replica
     std::uint64_t faultsInjected() const { return faultsInjected_; }
     std::uint64_t samplesIngested() const;
     std::uint64_t engineRebuilds() const;
-
-    /** Fleet-engine surrogate decision totals (all zero when the
-     *  surrogate is off). */
-    shapley::SurrogateTemporalEngine::Counters
-    surrogateCounters() const;
 
   private:
     /** One open period's accumulator and its diurnal carrier, which

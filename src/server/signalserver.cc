@@ -429,9 +429,6 @@ SignalServer::run()
     report_.finalOverloadLevel =
         static_cast<std::uint32_t>(rep.governor().level());
     report_.samplesIngested = rep.samplesIngested();
-    const auto surrogate_totals = rep.surrogateCounters();
-    report_.surrogateAccepts = surrogate_totals.accepts;
-    report_.surrogateRejects = surrogate_totals.rejects;
     if (wal_ != nullptr) {
         report_.walRecords = wal_->recordsAppended();
         report_.walSegmentsSealed = wal_->segmentsSealed();

@@ -159,10 +159,6 @@ struct ServerReport
     std::uint64_t standbyPublishChecks = 0;
     bool interrupted = false;        //!< SIGINT/SIGTERM drain
 
-    // --- surrogate (all zero when --surrogate is off) ---
-    std::uint64_t surrogateAccepts = 0; //!< fleet predictions shipped
-    std::uint64_t surrogateRejects = 0; //!< guardrail fallbacks
-
     /** FNV-1a over the raw bytes of publishedIntensity — a compact
      *  bit-exactness fingerprint for goldens and CLI output. */
     std::uint64_t signalSignature() const;

@@ -179,25 +179,43 @@ TEST(Durability, RecoverFromEmptyWalDirServesNormally)
 TEST(Durability, RecoverOnlySealedSegments)
 {
     // Halt exactly when a segment seals (6 records/segment; record p
-    // appends at tick 2p, so tick 10 seals segment 1) and drop the
-    // empty tail: recovery starts from sealed history alone.
-    ServerConfig crashed = durableConfig();
-    crashed.durability.walDir = walDir("sealed_only");
-    crashed.durability.haltAtTick = 11;
-    runServer(crashed);
-    const std::string open_tail = durability::segmentPath(
-        crashed.durability.walDir, 2, false);
-    if (fs::exists(open_tail))
+    // appends at tick 2p, so tick 10 seals segment 1), then leave the
+    // next tail absent, or as a kill before its first flush leaves
+    // it: 0 bytes, or a header cut at 7 bytes. Each is a torn tail
+    // with no records, and recovery starts from sealed history alone.
+    const ServerReport baseline = runServer(durableConfig());
+    for (const int tail_bytes : {-1, 0, 7}) {
+        SCOPED_TRACE("tail bytes " + std::to_string(tail_bytes));
+        ServerConfig crashed = durableConfig();
+        crashed.durability.walDir =
+            walDir("sealed_only_" + std::to_string(tail_bytes + 1));
+        crashed.durability.haltAtTick = 11;
+        runServer(crashed);
+        const std::string sealed = durability::segmentPath(
+            crashed.durability.walDir, 1, true);
+        const std::string open_tail = durability::segmentPath(
+            crashed.durability.walDir, 2, false);
+        ASSERT_TRUE(fs::exists(sealed));
         fs::remove(open_tail);
-    ASSERT_TRUE(fs::exists(durability::segmentPath(
-        crashed.durability.walDir, 1, true)));
+        if (tail_bytes >= 0) {
+            fs::copy_file(sealed, open_tail);
+            fs::resize_file(open_tail,
+                            static_cast<std::uintmax_t>(tail_bytes));
+        }
 
-    ServerConfig recover = durableConfig();
-    recover.durability.walDir = crashed.durability.walDir;
-    recover.durability.recover = true;
-    const ServerReport report = runServer(recover);
-    EXPECT_EQ(report.replayedRecords, 6u);
-    expectSameSignal(report, runServer(durableConfig()));
+        ServerConfig recover = durableConfig();
+        recover.durability.walDir = crashed.durability.walDir;
+        recover.durability.recover = true;
+        const ServerReport report = runServer(recover);
+        EXPECT_EQ(report.replayedRecords, 6u);
+        EXPECT_EQ(report.droppedWalTail, tail_bytes >= 0);
+        if (tail_bytes >= 0) {
+            EXPECT_NE(report.walTailDiagnostic.find(open_tail),
+                      std::string::npos)
+                << report.walTailDiagnostic;
+        }
+        expectSameSignal(report, baseline);
+    }
 }
 
 TEST(Durability, RecoverSealedPlusUnsealedTail)

@@ -4,7 +4,8 @@
  * segment rotation and atomic sealing, group-commit visibility, the
  * integrity taxonomy (sealed damage always throws; tail damage drops
  * the torn suffix with a named diagnostic and never yields a wrong
- * value), tail adoption on recovery, the compression codec path, and
+ * value), the version gate, write failures surfacing as errors,
+ * tail adoption on recovery, the compression codec path, and
  * the scrub digest helpers, including the shard-parallel derivation's
  * thread-count independence and its sensitivity to one unit of drift.
  */
@@ -12,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -273,6 +276,60 @@ TEST(WalLoad, TruncatedHeaderThrows)
     out << "FC";
     out.close();
     EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
+}
+
+TEST(WalLoad, OldVersionSegmentIsRejectedByName)
+{
+    // A version-2 log carries 16 more bytes per tick record; it must
+    // fail by name, never parse as shifted fields.
+    const std::string dir = scratchDir("old_version");
+    writeLog(dir, 5, 4);
+    const std::string sealed = segmentPath(dir, 1, true);
+    std::fstream file(sealed, std::ios::in | std::ios::out |
+                                  std::ios::binary);
+    file.seekp(4); // the u32 version follows the magic
+    const char old_version[4] = {2, 0, 0, 0};
+    file.write(old_version, 4);
+    file.close();
+
+    try {
+        loadWal(dir, kHash);
+        FAIL() << "a version-2 segment must not load";
+    } catch (const WalIntegrityError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(sealed), std::string::npos) << what;
+        EXPECT_NE(what.find("has version 2, expected 3"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(WalWriter, FailedFlushThrowsInsteadOfCommitting)
+{
+    // A full disk: the tail path resolves to /dev/full, so every
+    // flush fails with ENOSPC. The first append must throw naming
+    // the segment, not return as if the tick were committed.
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    const std::string dir = scratchDir("full_disk");
+    const std::string tail = segmentPath(dir, 1, false);
+    fs::create_symlink("/dev/full", tail);
+
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    WalWriter writer(options);
+    try {
+        writer.append(makeRecord(0));
+        FAIL() << "append to a full disk must throw";
+    } catch (const WalIntegrityError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(tail), std::string::npos) << what;
+        EXPECT_NE(what.find(std::strerror(ENOSPC)),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(writer.recordsAppended(), 0u);
 }
 
 TEST(WalWriter, AdoptTailConvergesOnUninterruptedLayout)

@@ -48,7 +48,7 @@ EOF
 
 # 1. The binary's real flag surface, across every subcommand.
 : > "$WORK/live_raw.txt"
-for cmd in signal bill forecast run serve train-surrogate; do
+for cmd in signal bill forecast run serve; do
     "$BIN" "$cmd" --help >> "$WORK/live_raw.txt"
 done
 "$BIN" --help >> "$WORK/live_raw.txt"

@@ -7,9 +7,7 @@
  *                    [--column demand] [--step-seconds 300]
  *                    [--splits 10,9,8,12] [--incremental
  *                    --window 24 --period-samples 0
- *                    --cache-capacity 64]
- *                    [--surrogate --surrogate-model m.fc2s
- *                    --surrogate-tol 0.01] --out signal.csv
+ *                    --cache-capacity 64] --out signal.csv
  *   fairco2 bill     --signal signal.csv --usage usage.csv
  *                    --out bills.csv
  *   fairco2 forecast --demand demand.csv --horizon-steps 2592
@@ -27,21 +25,12 @@
  *                    [--wal-dir wal/ [--recover] [--standby]
  *                     [--wal-compress] [--wal-segment-records 16]
  *                     [--scrub-periods 8]]
- *                    [--surrogate --surrogate-model m.fc2s
- *                     --surrogate-tol 0.01]
  *                    [--out served.csv]
- *   fairco2 train-surrogate --out m.fc2s [--train-windows 512]
- *                    [--window 24] [--period-samples 12]
- *                    [--lambda 1e-8] [--seed 42]
- *                    [--demand demand.csv [--column demand]]
  *
  * `signal` turns a demand series into a Temporal Shapley intensity
  * signal — classically in one full solve, or with `--incremental`
  * through the sliding-window engine whose memoized sub-games are
- * observable via the `shapley.cache.*` counters in `--metrics-out`,
- * or with `--surrogate` through the guardrailed learned surrogate
- * (`train-surrogate` fits it; accepted predictions skip the exact
- * solve, every guardrail miss falls back to it per-advance);
+ * observable via the `shapley.cache.*` counters in `--metrics-out`;
  * `bill` integrates per-consumer usage columns against a
  * signal; `forecast` extends a demand series Prophet-style. `run`
  * drives the whole flow (ingest -> forecast -> Shapley ->
@@ -69,8 +58,6 @@
  */
 
 #include <cstdio>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,7 +67,6 @@
 #include "common/flags.hh"
 #include "common/obs.hh"
 #include "common/parallel.hh"
-#include "common/surrogate.hh"
 #include "core/baselines.hh"
 #include "core/temporal.hh"
 #include "durability/wal.hh"
@@ -92,7 +78,6 @@
 #include "resilience/ingest.hh"
 #include "resilience/signals.hh"
 #include "server/signalserver.hh"
-#include "shapley/surrogate.hh"
 #include "trace/timeseries.hh"
 
 using namespace fairco2;
@@ -111,69 +96,6 @@ parseSplits(const std::string &text)
         std::exit(2);
     }
 }
-
-/** Shared `--surrogate`/`--surrogate-model`/`--surrogate-tol`
- *  plumbing for the commands that can run the guardrailed learned
- *  surrogate. The fallback contract: a missing or unset model file
- *  degrades to the exact engine with a one-line warning — never a
- *  crash — while a *corrupt* model file is bad input (exit 2). */
-struct SurrogateFlags
-{
-    bool enabled = false;
-    std::string modelPath;
-    double tolerance = 0.01;
-
-    void add(FlagSet &flags)
-    {
-        flags.addBool("surrogate", &enabled,
-                      "predict per-period Shapley shares with the "
-                      "trained surrogate model when its guardrails "
-                      "hold, falling back to the exact engine "
-                      "per-advance otherwise (requires "
-                      "--surrogate-model; see train-surrogate)");
-        flags.addString("surrogate-model", &modelPath,
-                        "trained surrogate model file (from "
-                        "`fairco2 train-surrogate`); missing file: "
-                        "warn and stay exact");
-        flags.addDouble("surrogate-tol", &tolerance,
-                        "surrogate residual guardrail: worst "
-                        "relative per-period share deviation from "
-                        "the closed form an accepted prediction may "
-                        "carry (must be positive and finite)");
-    }
-
-    /**
-     * Validate and load. Returns the model, or null when the
-     * surrogate is off or has no usable model file (the warned
-     * exact fallback). Exits 2 on an invalid tolerance or a
-     * corrupt model file.
-     */
-    std::shared_ptr<const surrogate::SurrogateModel> apply() const
-    {
-        surrogate::requireSurrogateTol(tolerance);
-        if (!enabled)
-            return nullptr;
-        if (modelPath.empty()) {
-            std::fprintf(stderr,
-                         "warning: --surrogate without "
-                         "--surrogate-model: no trained model, "
-                         "falling back to the exact engine\n");
-            return nullptr;
-        }
-        if (!std::filesystem::exists(modelPath)) {
-            std::fprintf(stderr,
-                         "warning: --surrogate-model '%s' not "
-                         "found, falling back to the exact "
-                         "engine\n",
-                         modelPath.c_str());
-            return nullptr;
-        }
-        // A file that exists but does not verify is bad input: the
-        // FatalDataError propagates to main's handler (exit 2).
-        return std::make_shared<const surrogate::SurrogateModel>(
-            surrogate::loadModel(modelPath));
-    }
-};
 
 /** Shared ingestion/fault flags and their parsed forms. */
 struct ResilienceFlags
@@ -252,8 +174,6 @@ runSignal(int argc, char **argv)
     flags.addInt("cache-capacity", &cache_capacity,
                  "incremental: sub-game memo entries (must be "
                  ">= 1)");
-    SurrogateFlags surrogate_flags;
-    surrogate_flags.add(flags);
     flags.addString("out", &out_path, "output CSV path");
     std::int64_t threads = 0;
     parallel::addThreadsFlag(flags, &threads);
@@ -266,7 +186,6 @@ runSignal(int argc, char **argv)
     parallel::applyThreadsFlag(threads);
     obs::applyObsFlags(obs_flags);
     res.apply();
-    const auto surrogate_model = surrogate_flags.apply();
     FAIRCO2_SPAN("cli.signal");
     if (demand_path.empty() || pool_grams <= 0.0) {
         std::fprintf(stderr,
@@ -275,11 +194,7 @@ runSignal(int argc, char **argv)
         return 2;
     }
 
-    // --surrogate rides the same sliding-window replay as
-    // --incremental (the surrogate engine wraps the incremental
-    // one), so both modes share the window-shape constraints.
-    const bool sliding = incremental || surrogate_flags.enabled;
-    if (sliding && (window_periods <= 0 || period_samples < 0)) {
+    if (incremental && (window_periods <= 0 || period_samples < 0)) {
         std::fprintf(stderr,
                      "error: --window must be positive; "
                      "--period-samples must be non-negative\n");
@@ -303,16 +218,16 @@ runSignal(int argc, char **argv)
                      "non-negative\n");
         return 2;
     }
-    // The sliding engines attribute measured demand only — a
+    // The sliding engine attributes measured demand only — a
     // forecast horizon would silently be dropped, so combining the
     // flags is a contract violation, not a no-op.
-    if (sliding && horizon_steps > 0) {
+    if (incremental && horizon_steps > 0) {
         std::fprintf(stderr,
                      "error: --horizon-steps cannot be combined "
-                     "with --incremental or --surrogate (the "
-                     "sliding engines attribute measured demand "
-                     "only; use `fairco2 run --incremental-window` "
-                     "for a supervised horizon blend)\n");
+                     "with --incremental (the sliding engine "
+                     "attributes measured demand only; use "
+                     "`fairco2 run --incremental-window` for a "
+                     "supervised horizon blend)\n");
         return 2;
     }
 
@@ -338,34 +253,17 @@ runSignal(int argc, char **argv)
     trace::TimeSeries intensity;
     double attributed_grams = 0.0;
     double unattributed_grams = 0.0;
-    std::uint64_t surrogate_accepts = 0;
-    std::uint64_t surrogate_rejects = 0;
-    if (sliding) {
+    if (incremental) {
         // The --window flag replaces the top-level split count; the
         // remaining splits shape each period's inner hierarchy.
         std::vector<std::size_t> inner_splits;
         if (splits.size() > 1)
             inner_splits.assign(splits.begin() + 1, splits.end());
-        pipeline::AttributionOutput result;
-        if (surrogate_flags.enabled) {
-            result = pipeline::attributeSurrogate(
-                demand, pool_grams,
-                static_cast<std::size_t>(window_periods),
-                static_cast<std::size_t>(period_samples),
-                inner_splits,
-                static_cast<std::size_t>(cache_capacity),
-                surrogate_model, surrogate_flags.tolerance,
-                &res.plan);
-            surrogate_accepts = result.surrogateAccepts;
-            surrogate_rejects = result.surrogateRejects;
-        } else {
-            result = pipeline::attributeIncremental(
-                demand, pool_grams,
-                static_cast<std::size_t>(window_periods),
-                static_cast<std::size_t>(period_samples),
-                inner_splits,
-                static_cast<std::size_t>(cache_capacity), &res.plan);
-        }
+        auto result = pipeline::attributeIncremental(
+            demand, pool_grams,
+            static_cast<std::size_t>(window_periods),
+            static_cast<std::size_t>(period_samples), inner_splits,
+            static_cast<std::size_t>(cache_capacity), &res.plan);
         intensity = std::move(result.intensity);
         attributed_grams = result.attributedGrams;
         unattributed_grams = result.unattributedGrams;
@@ -394,14 +292,7 @@ runSignal(int argc, char **argv)
                     "attributed together\n",
                     history_len,
                     static_cast<long long>(horizon_steps));
-    if (surrogate_flags.enabled)
-        std::printf("signal: surrogate %llu accepted, %llu exact "
-                    "fallbacks\n",
-                    static_cast<unsigned long long>(
-                        surrogate_accepts),
-                    static_cast<unsigned long long>(
-                        surrogate_rejects));
-    if (sliding)
+    if (incremental)
         // Honest reporting: in sliding mode there is no
         // projected tail (LiveIntensityService::projectedIntensity
         // is empty by contract), so say so instead of implying one.
@@ -575,8 +466,6 @@ runPipeline(int argc, char **argv)
     flags.addInt("incremental-window", &incremental_window,
                  "sliding-window periods for the incremental "
                  "Shapley rung (0: classic exact-first ladder)");
-    SurrogateFlags surrogate_flags;
-    surrogate_flags.add(flags);
     flags.addString("out", &config.signalOutPath,
                     "signal output CSV path");
     flags.addString("bills-out", &config.billsOutPath,
@@ -619,8 +508,6 @@ runPipeline(int argc, char **argv)
     config.horizonSteps = static_cast<std::size_t>(horizon_steps);
     config.incrementalWindowPeriods =
         static_cast<std::size_t>(incremental_window);
-    config.surrogateModel = surrogate_flags.apply();
-    config.surrogateTol = surrogate_flags.tolerance;
     config.badRowPolicy = res.policy;
     config.supervisor.stageDeadlineMs =
         static_cast<std::uint64_t>(deadline_ms);
@@ -698,8 +585,6 @@ runServe(int argc, char **argv)
     flags.addInt("cache-capacity", &cache_capacity,
                  "per-engine sub-game memo entries (0: memoization "
                  "off)");
-    SurrogateFlags surrogate_flags;
-    surrogate_flags.add(flags);
     flags.addInt("max-batch-periods", &max_batch_periods,
                  "most periods one tenant batch may cover (sets the "
                  "close watermark)");
@@ -749,7 +634,6 @@ runServe(int argc, char **argv)
     parallel::applyThreadsFlag(threads);
     obs::applyObsFlags(obs_flags);
     res.apply();
-    const auto surrogate_model = surrogate_flags.apply();
     FAIRCO2_SPAN("cli.serve");
     if (tenants <= 0 || shards <= 0 ||
         shards > static_cast<std::int64_t>(server::kMaxShards) ||
@@ -823,10 +707,6 @@ runServe(int argc, char **argv)
         config.durability.killAtTick =
             static_cast<std::uint64_t>(kill_at_tick);
     config.durability.killTorn = kill_torn;
-    config.surrogate.enabled =
-        surrogate_flags.enabled && surrogate_model != nullptr;
-    config.surrogate.model = surrogate_model;
-    config.surrogate.tolerance = surrogate_flags.tolerance;
 
     resilience::installShutdownHandler();
     server::SignalServer srv(config);
@@ -877,13 +757,6 @@ runServe(int argc, char **argv)
                     report.overloadRecoveries),
                 static_cast<unsigned long long>(
                     report.engineRebuilds));
-    if (config.surrogate.enabled)
-        std::printf("serve: surrogate %llu accepted, %llu exact "
-                    "fallbacks\n",
-                    static_cast<unsigned long long>(
-                        report.surrogateAccepts),
-                    static_cast<unsigned long long>(
-                        report.surrogateRejects));
     if (!wal_dir.empty()) {
         if (report.droppedWalTail)
             std::fprintf(stderr, "serve: %s\n",
@@ -929,98 +802,6 @@ runServe(int argc, char **argv)
     return 0;
 }
 
-int
-runTrainSurrogate(int argc, char **argv)
-{
-    std::string out_path = "surrogate.fc2s";
-    std::string demand_path;
-    std::string column = "demand";
-    double step_seconds = 300.0;
-    double lambda = 1e-8;
-    std::int64_t train_windows = 512;
-    std::int64_t window_periods = 24;
-    std::int64_t period_samples = 12;
-    std::int64_t seed = 42;
-    FlagSet flags("fairco2 train-surrogate: fit the guardrailed "
-                  "Shapley-share surrogate on exact peak-game "
-                  "solves");
-    flags.addString("out", &out_path,
-                    "trained model output path (binary, "
-                    "checksummed)");
-    flags.addString("demand", &demand_path,
-                    "optional demand CSV to train on via sliding "
-                    "windows (empty: deterministic synthetic "
-                    "diurnal corpus)");
-    flags.addString("column", &column, "demand column name");
-    flags.addDouble("step-seconds", &step_seconds,
-                    "sample width of the input");
-    flags.addInt("train-windows", &train_windows,
-                 "synthetic training windows, each one exact "
-                 "peak-game solve (ignored with --demand)");
-    flags.addInt("window", &window_periods,
-                 "sliding-window size in periods (must match the "
-                 "--window the model will serve)");
-    flags.addInt("period-samples", &period_samples,
-                 "samples per period (must match serving)");
-    flags.addDouble("lambda", &lambda,
-                    "ridge regularization strength");
-    flags.addInt("seed", &seed, "synthetic-corpus seed");
-    std::int64_t threads = 0;
-    parallel::addThreadsFlag(flags, &threads);
-    obs::ObsFlags obs_flags;
-    obs::addObsFlags(flags, &obs_flags);
-    ResilienceFlags res;
-    res.add(flags);
-    if (!flags.parse(argc, argv))
-        return 0;
-    parallel::applyThreadsFlag(threads);
-    obs::applyObsFlags(obs_flags);
-    res.apply();
-    FAIRCO2_SPAN("cli.train_surrogate");
-    if (out_path.empty()) {
-        std::fprintf(stderr, "error: --out is required\n");
-        return 2;
-    }
-    if (train_windows <= 0 || window_periods < 2 ||
-        period_samples <= 0 || step_seconds <= 0.0 ||
-        lambda < 0.0 || seed < 0) {
-        std::fprintf(stderr,
-                     "error: --train-windows and --period-samples "
-                     "must be positive; --window must be >= 2; "
-                     "--step-seconds must be positive; --lambda "
-                     "and --seed must be non-negative\n");
-        return 2;
-    }
-    requireWritableFlagPath("out", out_path);
-
-    shapley::SurrogateTrainConfig config;
-    config.windows = static_cast<std::size_t>(train_windows);
-    config.windowPeriods = static_cast<std::size_t>(window_periods);
-    config.periodSamples = static_cast<std::size_t>(period_samples);
-    config.stepSeconds = step_seconds;
-    config.lambda = lambda;
-    config.seed = static_cast<std::uint64_t>(seed);
-
-    surrogate::SurrogateModel model;
-    if (!demand_path.empty()) {
-        const auto series =
-            loadColumn(demand_path, column, step_seconds, res);
-        res.note();
-        model = shapley::trainSurrogateModelOnSeries(series, config);
-    } else {
-        model = shapley::trainSurrogateModel(config);
-    }
-    surrogate::saveModel(model, out_path);
-    std::printf(
-        "train-surrogate: %llu windows, train rmse %.3e, held-out "
-        "share error p50 %.3e p95 %.3e, checksum %016llx -> %s\n",
-        static_cast<unsigned long long>(model.trainedOnWindows),
-        model.trainRmse, model.heldOutP50, model.heldOutP95,
-        static_cast<unsigned long long>(model.checksum()),
-        out_path.c_str());
-    return 0;
-}
-
 void
 usage()
 {
@@ -1036,10 +817,6 @@ usage()
         "  serve     sharded multi-tenant live-signal server\n"
         "            (deterministic simulation; bit-identical for\n"
         "            any --shards/--threads at the same seed)\n"
-        "  train-surrogate\n"
-        "            fit the guardrailed Shapley-share surrogate\n"
-        "            on exact peak-game solves (serve/signal/run\n"
-        "            load it via --surrogate-model)\n"
         "\nRun `fairco2 <command> --help` for command flags.\n");
 }
 
@@ -1066,8 +843,6 @@ main(int argc, char **argv)
             return runPipeline(argc - 1, argv + 1);
         if (command == "serve")
             return runServe(argc - 1, argv + 1);
-        if (command == "train-surrogate")
-            return runTrainSurrogate(argc - 1, argv + 1);
         if (command == "--help" || command == "-h") {
             usage();
             return 0;

@@ -6,7 +6,7 @@
 #
 # Regenerate after an intentional change:
 #   { fairco2 --help; echo "===="; \
-#     for c in signal bill forecast run serve train-surrogate; do \
+#     for c in signal bill forecast run serve; do \
 #       fairco2 $c --help; echo "===="; done; } \
 #     > tests/golden/help.txt
 
@@ -33,7 +33,7 @@ if(NOT rc EQUAL 0)
 endif()
 file(WRITE ${produced} "${out}====\n")
 
-foreach(cmd signal bill forecast run serve train-surrogate)
+foreach(cmd signal bill forecast run serve)
     append_help(${cmd})
 endforeach()
 
