@@ -7,59 +7,6 @@
 namespace fairco2
 {
 
-namespace
-{
-
-/** splitmix64 step, used only to expand the seed into full state. */
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
-Rng::Rng(std::uint64_t seed)
-    : seed_(seed), cachedNormal_(0.0), hasCachedNormal_(false)
-{
-    std::uint64_t s = seed;
-    for (auto &word : state_)
-        word = splitmix64(s);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits give a uniform double in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
-}
-
 double
 Rng::uniform(double lo, double hi)
 {
@@ -153,19 +100,6 @@ Rng
 Rng::split()
 {
     return Rng(next() ^ 0xd1b54a32d192ed03ULL);
-}
-
-Rng
-Rng::fork(std::uint64_t stream) const
-{
-    // Counter-based derivation: scramble (seed, stream) through two
-    // splitmix64 steps. The XOR constant keeps fork(0) off the words
-    // the constructor already expanded from the bare seed, so a
-    // child never replays its parent's state.
-    std::uint64_t s = (seed_ ^ 0x5851f42d4c957f2dULL) +
-        (stream + 1) * 0x9e3779b97f4a7c15ULL;
-    const std::uint64_t first = splitmix64(s);
-    return Rng(first ^ splitmix64(s));
 }
 
 } // namespace fairco2

@@ -30,7 +30,13 @@ class Rng
     using result_type = std::uint64_t;
 
     /** Construct from a 64-bit seed; equal seeds give equal streams. */
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL)
+        : seed_(seed), cachedNormal_(0.0), hasCachedNormal_(false)
+    {
+        std::uint64_t s = seed;
+        for (auto &word : state_)
+            word = splitmix64(s);
+    }
 
     /** Smallest value next() can return. */
     static constexpr result_type min() { return 0; }
@@ -38,13 +44,32 @@ class Rng
     static constexpr result_type max() { return ~0ULL; }
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** UniformRandomBitGenerator interface. */
     result_type operator()() { return next(); }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits give a uniform double in [0, 1).
+        return (next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -85,9 +110,37 @@ class Rng
      * many threads a loop runs on. Every parallel trial loop draws
      * its per-trial randomness as base.fork(trial_index).
      */
-    Rng fork(std::uint64_t stream) const;
+    Rng
+    fork(std::uint64_t stream) const
+    {
+        // Counter-based derivation: scramble (seed, stream) through
+        // two splitmix64 steps. The XOR constant keeps fork(0) off the
+        // words the constructor already expanded from the bare seed,
+        // so a child never replays its parent's state.
+        std::uint64_t s = (seed_ ^ 0x5851f42d4c957f2dULL) +
+            (stream + 1) * 0x9e3779b97f4a7c15ULL;
+        const std::uint64_t first = splitmix64(s);
+        return Rng(first ^ splitmix64(s));
+    }
 
   private:
+    /** splitmix64 step, used only to expand seeds into full state. */
+    static std::uint64_t
+    splitmix64(std::uint64_t &x)
+    {
+        x += 0x9e3779b97f4a7c15ULL;
+        std::uint64_t z = x;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t seed_; //!< construction seed, for fork()
     std::uint64_t state_[4];
     double cachedNormal_;

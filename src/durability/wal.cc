@@ -1,5 +1,6 @@
 #include "durability/wal.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
@@ -461,6 +462,7 @@ walDirError(const std::string &dir)
 WalLoadResult
 loadWal(const std::string &dir, std::uint64_t config_hash)
 {
+    FAIRCO2_COUNT("durability.wal.loads", 1);
     if (!fs::is_directory(dir))
         throw WalIntegrityError("wal directory '" + dir +
                                 "' does not exist");
@@ -715,7 +717,7 @@ windowSumDigest(std::uint64_t closed_periods,
 }
 
 ScrubWindow
-scrubWindow(const std::vector<WalTickRecord> &records,
+scrubWindow(std::span<const WalTickRecord> records,
             std::size_t window_periods, std::uint64_t watermark)
 {
     ScrubWindow out;
@@ -731,25 +733,33 @@ scrubWindow(const std::vector<WalTickRecord> &records,
 
 WindowDigests
 deriveWindowDigests(
-    const std::vector<WalTickRecord> &records, std::size_t shards,
+    std::span<const WalTickRecord> records, std::size_t shards,
     std::size_t window_periods, std::uint64_t watermark,
     const std::function<std::uint64_t(std::uint64_t tenant,
                                       std::uint64_t period)> &unitsOf)
 {
     const ScrubWindow window =
         scrubWindow(records, window_periods, watermark);
+    // Records up to window.first cannot cover an in-window period
+    // (see the header), so only the suffix after them is scanned.
+    const std::span<const WalTickRecord> reaching(
+        std::partition_point(records.begin(), records.end(),
+                             [&window](const WalTickRecord &record) {
+                                 return record.period <= window.first;
+                             }),
+        records.end());
 
     // Accumulate per-period unit sums for the in-window closed
     // periods only — the exact quantities the live replicas keep in
     // their windowUnitSums deques. One chunk per shard: each chunk
-    // scans the log and sums only its own shard's batches, so the
-    // writes are disjoint and every slot sees its batches in log
-    // order whatever the thread count.
+    // scans the reaching records and sums only its own shard's
+    // batches, so the writes are disjoint and every slot sees its
+    // batches in log order whatever the thread count.
     std::vector<std::vector<std::uint64_t>> shard_sums(
         shards, std::vector<std::uint64_t>(window.periods, 0));
     parallel::parallelFor(0, shards, 1, [&](std::size_t lo,
                                             std::size_t hi) {
-        for (const WalTickRecord &record : records) {
+        for (const WalTickRecord &record : reaching) {
             for (const WalBatch &batch : record.admitted) {
                 const std::size_t s = batch.tenant % shards;
                 if (s < lo || s >= hi)

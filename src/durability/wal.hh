@@ -59,6 +59,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -155,7 +156,7 @@ struct WalLoadResult
  * then the `.open` tail. Sealed-segment damage throws
  * WalIntegrityError; tail damage truncates at the first bad record
  * and reports the drop in the result. An empty directory returns
- * zero records.
+ * zero records. Each call bumps the `durability.wal.loads` counter.
  */
 WalLoadResult loadWal(const std::string &dir,
                       std::uint64_t config_hash);
@@ -275,7 +276,7 @@ struct ScrubWindow
 /** The scrub window of @p records: periods close up to
  *  `lastPeriod - watermark`, and the last @p window_periods of them
  *  are in window. */
-ScrubWindow scrubWindow(const std::vector<WalTickRecord> &records,
+ScrubWindow scrubWindow(std::span<const WalTickRecord> records,
                         std::size_t window_periods,
                         std::uint64_t watermark);
 
@@ -289,6 +290,12 @@ ScrubWindow scrubWindow(const std::vector<WalTickRecord> &records,
  * server::Replica::windowDigests() on an uncorrupted run by
  * construction.
  *
+ * @p records must be in tick order (a log's order). A batch covers
+ * only periods before its own, and its period is at most its
+ * record's (a deferred retry keeps the period it was first offered
+ * at), so the records up to the window's first period cannot reach
+ * it: the scan starts at the first record past them.
+ *
  * The derivation runs one parallel::parallelFor chunk per shard, so
  * @p unitsOf is called concurrently for tenants of *different*
  * shards: it must be safe to call from several threads at once (a
@@ -296,7 +303,7 @@ ScrubWindow scrubWindow(const std::vector<WalTickRecord> &records,
  * the thread count.
  */
 WindowDigests deriveWindowDigests(
-    const std::vector<WalTickRecord> &records, std::size_t shards,
+    std::span<const WalTickRecord> records, std::size_t shards,
     std::size_t window_periods, std::uint64_t watermark,
     const std::function<std::uint64_t(std::uint64_t tenant,
                                       std::uint64_t period)> &unitsOf);

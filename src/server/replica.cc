@@ -126,6 +126,25 @@ Replica::pendingFor(Shard &shard, std::uint64_t period) const
 }
 
 void
+Replica::buildPushSchedule()
+{
+    // Both values are pure in the tenant, so the fill is
+    // thread-count independent.
+    pushSchedule_.resize(population_.size());
+    parallel::parallelFor(
+        0, pushSchedule_.size(), 4096,
+        [this](std::size_t lo, std::size_t hi) {
+            for (std::size_t t = lo; t < hi; ++t) {
+                PushSlot &slot = pushSchedule_[t];
+                slot.interval = static_cast<std::uint8_t>(
+                    population_.batchPeriods(t));
+                slot.phase = static_cast<std::uint8_t>(
+                    population_.phaseOffset(t));
+            }
+        });
+}
+
+void
 Replica::offerLive(const BatchRef &batch,
                    durability::WalTickRecord &record)
 {
@@ -176,12 +195,20 @@ Replica::applyArrivalsLive(std::uint64_t period)
 
     // Fresh offers in tenant-rank order (the Zipf head pushes
     // first). Serial and shard-agnostic: this order is part of the
-    // determinism contract.
+    // determinism contract. The cached schedule stands in for
+    // pushesAt() and batchAt().
     if (period < config_.durationPeriods) {
-        for (std::uint64_t t = 0; t < population_.size(); ++t) {
-            if (!population_.pushesAt(t, period))
+        if (pushSchedule_.size() != population_.size())
+            buildPushSchedule();
+        for (std::uint64_t t = 0; t < pushSchedule_.size(); ++t) {
+            const PushSlot slot = pushSchedule_[t];
+            if (period % slot.interval != slot.phase)
                 continue;
-            const BatchRef batch = population_.batchAt(t, period);
+            BatchRef batch;
+            batch.tenant = t;
+            batch.period = period;
+            batch.coveredPeriods = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(slot.interval, period));
             if (batch.coveredPeriods == 0)
                 continue; // first push before any period closed
             offerLive(batch, record);

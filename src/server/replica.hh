@@ -204,6 +204,16 @@ class Replica
         std::uint64_t samplesIngested = 0;
     };
 
+    /** A tenant's push cadence and phase, as batchPeriods() and
+     *  phaseOffset() return them (both at most 1 + log2(N) / 2, so
+     *  a byte holds them). */
+    struct PushSlot
+    {
+        std::uint8_t interval = 1;
+        std::uint8_t phase = 0;
+    };
+
+    void buildPushSchedule();
     void offerLive(const BatchRef &batch,
                    durability::WalTickRecord &record);
     CloseOutcome closePeriod(std::uint64_t period);
@@ -220,6 +230,10 @@ class Replica
      *  integer usage shares behind shard pools and the proportional
      *  fallback intensity. */
     std::deque<std::uint64_t> fleetWindowSums_;
+    /** Every tenant's PushSlot, in rank order. Built at the first
+     *  live arrival tick rather than in a constructor, so a
+     *  replay-only recovery never pays for it. */
+    std::vector<PushSlot> pushSchedule_;
     /** Batches deferred at the previous arrival tick. */
     std::vector<BatchRef> deferred_;
     std::uint64_t watermark_ = 0;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -329,25 +330,35 @@ SignalServer::runScrub(std::uint64_t period)
 {
     // Anti-entropy: re-derive the window digests purely from the log
     // on disk and compare them to the serving replica's live state.
-    durability::WalLoadResult load =
-        durability::loadWal(config_.durability.walDir, configHash_);
-    // During recovery the log extends past the loop's progress; only
-    // ticks up to this period have been applied.
-    if (load.records.size() > period + 1)
-        load.records.resize(period + 1);
+    // Only ticks up to this period have been applied. While recovery
+    // still covers them, they are a prefix of the records that
+    // setupDurability() loaded and checksummed from disk, so the log
+    // is not read again.
+    std::vector<durability::WalTickRecord> loaded;
+    std::span<const durability::WalTickRecord> records;
+    if (period < replay_.size()) {
+        records = std::span(replay_).first(period + 1);
+    } else {
+        loaded = durability::loadWal(config_.durability.walDir,
+                                     configHash_)
+                     .records;
+        if (loaded.size() > period + 1)
+            loaded.resize(period + 1);
+        records = loaded;
+    }
     // Re-materialize every in-window unit from the tenant population
     // — never from the live replica's accumulators, which are what
     // the scrub checks. The carriers are computed once per period up
     // front so the shard-parallel derivation only reads them.
     const durability::ScrubWindow window = durability::scrubWindow(
-        load.records, config_.windowPeriods, watermark_);
+        records, config_.windowPeriods, watermark_);
     std::vector<std::vector<double>> carriers;
     carriers.reserve(window.periods);
     for (std::uint64_t i = 0; i < window.periods; ++i)
         carriers.push_back(population_.diurnalCarrier(window.first + i));
     const durability::WindowDigests derived =
         durability::deriveWindowDigests(
-            load.records, config_.shards, config_.windowPeriods,
+            records, config_.shards, config_.windowPeriods,
             watermark_,
             [this, &window, &carriers](std::uint64_t tenant,
                                        std::uint64_t p) {

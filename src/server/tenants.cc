@@ -1,6 +1,7 @@
 #include "tenants.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -41,6 +42,9 @@ TenantPopulation::TenantPopulation(const Config &config)
     if (config_.maxBatchPeriods == 0)
         throw std::invalid_argument(
             "TenantPopulation: maxBatchPeriods must be > 0");
+    if (config_.meanDemandUnits > kMaxMeanDemandUnits)
+        throw std::invalid_argument(
+            "TenantPopulation: meanDemandUnits must be <= 2^50");
     // Top 1% Reserved (at least one tenant), next 9% Standard.
     reservedRanks_ = std::max<std::size_t>(1, config_.tenants / 100);
     standardRanks_ = std::max(reservedRanks_ + 1,
@@ -144,14 +148,18 @@ TenantPopulation::accumulatePeriod(std::uint64_t tenant,
     // carrier is the same double per (period, sample) that an inline
     // std::sin would produce, and the product keeps its operand
     // order, so every sample is bit-identical to computing it here.
+    // The constructor's meanDemandUnits bound keeps every product
+    // inside roundUnits()'s exact domain.
+    const std::size_t samples = config_.periodSamples;
+    assert(carrier.size() == samples);
+    assert(out.size() == samples);
     Rng rng = base_.fork(tenant).fork(period + 1);
     const double base = static_cast<double>(baseUnits(tenant));
-    const std::size_t samples = config_.periodSamples;
     std::uint64_t added = 0;
     for (std::size_t s = 0; s < samples; ++s) {
         const double jitter = 0.75 + 0.5 * rng.uniform();
-        const auto units = static_cast<std::uint64_t>(
-            std::llround(base * carrier[s] * jitter));
+        const std::uint64_t units =
+            roundUnits(base * carrier[s] * jitter);
         out[s] += units;
         added += units;
     }

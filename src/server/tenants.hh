@@ -50,6 +50,25 @@ enum class TenantClass : std::uint8_t
     Free = 2,     //!< the long tail
 };
 
+/** Upper bound on Config::meanDemandUnits: it keeps every demand
+ *  sample (at most base * 1.5 * 1.25) below 2^52, the domain in
+ *  which roundUnits() is exact. */
+constexpr std::uint64_t kMaxMeanDemandUnits = std::uint64_t{1} << 50;
+
+/**
+ * std::llround for finite 0 <= @p x < 2^52, without the libm call:
+ * in that range `x - trunc(x)` is computed exactly, so comparing it
+ * with 0.5 rounds half away from zero as llround does.
+ */
+inline std::uint64_t
+roundUnits(double x)
+{
+    auto units = static_cast<std::uint64_t>(x);
+    if (x - static_cast<double>(units) >= 0.5)
+        ++units;
+    return units;
+}
+
 /** Number of TenantClass values (bucket array size). */
 constexpr std::size_t kTenantClasses = 3;
 
@@ -82,7 +101,7 @@ class TenantPopulation
          *  arrive, which sets the server's close watermark. */
         std::size_t maxBatchPeriods = 8;
         /** Mean fleet-wide demand units per sample, split over
-         *  tenants by Zipf weight. */
+         *  tenants by Zipf weight (at most kMaxMeanDemandUnits). */
         std::uint64_t meanDemandUnits = 1u << 20;
     };
 
@@ -127,7 +146,8 @@ class TenantPopulation
     /**
      * Add @p tenant's demand units for @p period into @p out
      * (periodSamples slots) and return the units added. @p carrier
-     * must be diurnalCarrier(period). Allocation-free, const, and
+     * must be diurnalCarrier(period); both spans must hold exactly
+     * periodSamples slots. Allocation-free, const, and
      * pure in (seed, tenant, period), so it is safe to call
      * concurrently on disjoint outputs.
      */

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "common/obs.hh"
+#include "common/parallel.hh"
 #include "durability/wal.hh"
 #include "resilience/faultplan.hh"
 #include "resilience/signals.hh"
@@ -82,6 +84,32 @@ expectSameSignal(const ServerReport &got, const ServerReport &want)
                               sizeof(double)));
     EXPECT_EQ(got.publishedPeriods, want.publishedPeriods);
     EXPECT_EQ(got.signalSignature(), want.signalSignature());
+}
+
+/** The population a server with @p config builds. */
+TenantPopulation::Config
+populationConfig(const ServerConfig &config)
+{
+    TenantPopulation::Config pc;
+    pc.tenants = config.tenants;
+    pc.zipfS = config.zipfS;
+    pc.seed = config.seed;
+    pc.periodSamples = config.periodSamples;
+    pc.maxBatchPeriods = config.maxBatchPeriods;
+    pc.meanDemandUnits = config.meanDemandUnits;
+    return pc;
+}
+
+/** @p tenant's total units in @p period, as the scrub derives them. */
+std::uint64_t
+periodUnits(const TenantPopulation &population, std::uint64_t tenant,
+            std::uint64_t period)
+{
+    std::uint64_t units = 0;
+    for (std::uint64_t sample :
+         population.materializePeriod(tenant, period))
+        units += sample;
+    return units;
 }
 
 // ---- WAL-on runs vs the plain server -------------------------------
@@ -418,14 +446,7 @@ TEST(Durability, ScrubComparisonCatchesOneUnitOfDrift)
     // records it emitted, as the scrub does. The honest derivation
     // matches; one extra unit for one in-window tenant must not.
     const ServerConfig config = durableConfig();
-    TenantPopulation::Config pc;
-    pc.tenants = config.tenants;
-    pc.zipfS = config.zipfS;
-    pc.seed = config.seed;
-    pc.periodSamples = config.periodSamples;
-    pc.maxBatchPeriods = config.maxBatchPeriods;
-    pc.meanDemandUnits = config.meanDemandUnits;
-    const TenantPopulation population(pc);
+    const TenantPopulation population(populationConfig(config));
     Replica replica(config, population);
     std::vector<durability::WalTickRecord> records;
     for (std::uint64_t p = 0; p < config.durationPeriods; ++p) {
@@ -435,11 +456,7 @@ TEST(Durability, ScrubComparisonCatchesOneUnitOfDrift)
 
     const auto honest = [&population](std::uint64_t tenant,
                                       std::uint64_t period) {
-        std::uint64_t units = 0;
-        for (std::uint64_t sample :
-             population.materializePeriod(tenant, period))
-            units += sample;
-        return units;
+        return periodUnits(population, tenant, period);
     };
     const std::uint64_t watermark = replica.watermark();
     EXPECT_EQ(durability::deriveWindowDigests(
@@ -467,6 +484,105 @@ TEST(Durability, ScrubComparisonCatchesOneUnitOfDrift)
                          return honest(tenant, period) +
                              (tenant == drifted ? 1 : 0);
                      }) == replica.windowDigests());
+}
+
+TEST(Durability, ScrubDerivesFromTheRecordsThatReachTheWindow)
+{
+    // A batch covers only periods before its own, and a deferred
+    // retry keeps its first period, so records up to the window's
+    // first period cannot reach the window: deriving from the suffix
+    // after them must give the full log's digests, whatever the
+    // thread count, and the derivation must not read the prefix.
+    const ServerConfig config = durableConfig();
+    const TenantPopulation population(populationConfig(config));
+    Replica replica(config, population);
+    std::vector<durability::WalTickRecord> records;
+    for (std::uint64_t p = 0; p < config.durationPeriods; ++p) {
+        records.push_back(replica.applyArrivalsLive(p));
+        replica.applyClose(p);
+    }
+    std::uint64_t retried = 0;
+    for (const auto &record : records)
+        for (const auto &batch : record.admitted)
+            retried += batch.deferred;
+    ASSERT_GT(retried, 0u) << "the log must hold admitted retries";
+
+    const auto units = [&population](std::uint64_t tenant,
+                                     std::uint64_t period) {
+        return periodUnits(population, tenant, period);
+    };
+    const std::uint64_t watermark = replica.watermark();
+    const durability::ScrubWindow window = durability::scrubWindow(
+        records, config.windowPeriods, watermark);
+    ASSERT_GT(window.first, 0u);
+    std::size_t cut = 0;
+    while (records[cut].period <= window.first)
+        ++cut;
+    const std::vector<durability::WalTickRecord> suffix(
+        records.begin() + static_cast<std::ptrdiff_t>(cut),
+        records.end());
+    // Prefix records rewritten to claim every in-window period: read,
+    // they would move every digest.
+    std::vector<durability::WalTickRecord> poisoned = records;
+    for (std::size_t i = 0; i < cut; ++i)
+        for (auto &batch : poisoned[i].admitted) {
+            batch.period = window.first + window.periods;
+            batch.coveredPeriods =
+                static_cast<std::uint32_t>(window.periods);
+        }
+
+    const std::size_t saved = parallel::threadCount();
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        parallel::setThreadCount(threads);
+        const durability::WindowDigests full =
+            durability::deriveWindowDigests(records, config.shards,
+                                            config.windowPeriods,
+                                            watermark, units);
+        EXPECT_EQ(full, replica.windowDigests()) << threads;
+        EXPECT_EQ(durability::deriveWindowDigests(
+                      suffix, config.shards, config.windowPeriods,
+                      watermark, units),
+                  full)
+            << threads;
+        EXPECT_EQ(durability::deriveWindowDigests(
+                      poisoned, config.shards, config.windowPeriods,
+                      watermark, units),
+                  full)
+            << threads;
+    }
+    parallel::setThreadCount(saved);
+}
+
+TEST(Durability, RecoveryScrubsReuseTheLoadedLog)
+{
+#if defined(FAIRCO2_OBS_OFF)
+    GTEST_SKIP() << "counts wal loads through an obs counter";
+#else
+    // 32 arrival periods at watermark 9 log 41 ticks; scrubs every 8
+    // periods land at 8, 16, 24, 32 and 40, all inside the replay, so
+    // recovery reads the log once: the scrubs derive from the records
+    // recovery already loaded and checksummed.
+    ServerConfig config = durableConfig();
+    config.durationPeriods = 32;
+    config.maxBatchPeriods = 8;
+    config.durability.scrubPeriods = 8;
+    config.durability.walDir = walDir("scrub_loads");
+    const ServerReport live = runServer(config);
+    ASSERT_EQ(live.walRecords, 41u);
+
+    config.durability.recover = true;
+    obs::resetForTest();
+    obs::setEnabled(true);
+    const ServerReport recovered = runServer(config);
+    const std::uint64_t loads =
+        obs::counter("durability.wal.loads").value();
+    obs::resetForTest();
+    EXPECT_EQ(recovered.replayedRecords, 41u);
+    EXPECT_EQ(recovered.scrubRuns, 5u);
+    EXPECT_EQ(recovered.scrubMismatches, 0u);
+    EXPECT_EQ(loads, 1u);
+    expectSameSignal(recovered, live);
+#endif
 }
 
 TEST(Durability, ScrubDisabledByZeroPeriod)

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.hh"
@@ -181,6 +183,62 @@ TEST(Rng, IndexStaysInRange)
     Rng rng(22);
     for (int i = 0; i < 1000; ++i)
         ASSERT_LT(rng.index(7), 7u);
+}
+
+/** The first eight next() and uniform() bit patterns of one stream,
+ *  recorded from the out-of-line generator this one replaced. */
+struct PinnedStream
+{
+    Rng rng;
+    std::uint64_t next[8];
+    std::uint64_t uniformBits[8];
+};
+
+TEST(Rng, StreamIsPinned)
+{
+    // Every published signal is a function of these streams, so the
+    // generator's arithmetic (seeding, step, uniform, fork) must never
+    // change, however it is compiled.
+    const PinnedStream pins[] = {
+        {Rng(42),
+         {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL,
+          0xae17533239e499a1ULL, 0xecb8ad4703b360a1ULL,
+          0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL,
+          0xb82154855a65ddb2ULL, 0xd99a2743ebe60087ULL},
+         {0x3fb5780b2e0c2ec0ULL, 0x3fd84136619b444eULL,
+          0x3fe5c2ea66473c93ULL, 0x3fed9715a8e0766cULL,
+          0x3fefbcdb8ffc5d8bULL, 0x3fe8a1b4a6202f2aULL,
+          0x3fe7042a90ab4cbbULL, 0x3feb3344e87d7cc0ULL}},
+        {Rng(42).fork(7),
+         {0x3a3123a0719b939fULL, 0x6b0e0071e0b1496aULL,
+          0x049c9b0cdc7bbeb0ULL, 0x3e0f0cf0fbe87654ULL,
+          0xd4f7b1dc04e65b24ULL, 0x418094da45a43b31ULL,
+          0x34b1d458d6c44536ULL, 0x6fed0c4651d01fa6ULL},
+         {0x3fcd1891d038cdc8ULL, 0x3fdac3801c782c52ULL,
+          0x3f92726c3371eee0ULL, 0x3fcf0786787df438ULL,
+          0x3fea9ef63b809ccbULL, 0x3fd060253691690eULL,
+          0x3fca58ea2c6b6220ULL, 0x3fdbfb4311947406ULL}},
+        {Rng(1).fork(3).fork(11),
+         {0x273b3b2129cee2acULL, 0x1a8f8f6b37dca210ULL,
+          0xae1da6abb20e140fULL, 0x39388b5d61f2c9e4ULL,
+          0x36e282f4a217cf92ULL, 0x27db0aa95d6f7fa4ULL,
+          0x34a5217d5971b8aeULL, 0x0a3e70abca74e99bULL},
+         {0x3fc39d9d9094e770ULL, 0x3fba8f8f6b37dca0ULL,
+          0x3fe5c3b4d57641c2ULL, 0x3fcc9c45aeb0f964ULL,
+          0x3fcb71417a510be4ULL, 0x3fc3ed8554aeb7bcULL,
+          0x3fca5290beacb8dcULL, 0x3fa47ce15794e9d0ULL}},
+    };
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+        Rng raw = pins[i].rng;
+        Rng unit = pins[i].rng;
+        for (std::size_t k = 0; k < 8; ++k) {
+            EXPECT_EQ(raw.next(), pins[i].next[k])
+                << "stream " << i << " draw " << k;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(unit.uniform()),
+                      pins[i].uniformBits[k])
+                << "stream " << i << " draw " << k;
+        }
+    }
 }
 
 TEST(Rng, ForkIsPureAndReproducible)

@@ -2,15 +2,18 @@
  * @file
  * Tests for the sharded live-signal server: Zipf weights, the
  * deterministic event loop, token-bucket admission, tenant-demand
- * purity and the shared-carrier kernel's bit-identity, and the server's headline contracts — the published fleet
- * signal is bit-identical across shard and thread counts, survives
- * injected cache corruption unchanged, degrades under admission
- * overload, and stays readable from concurrent wait-free snapshot
- * readers while the run is in flight.
+ * purity, the shared-carrier kernel's bit-identity and its inline
+ * round, the replica's cached push schedule, and the server's
+ * headline contracts — the published fleet signal is bit-identical
+ * across shard and thread counts, survives injected cache corruption
+ * unchanged, degrades under admission overload, and stays readable
+ * from concurrent wait-free snapshot readers while the run is in
+ * flight.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include "resilience/faultplan.hh"
 #include "server/admission.hh"
 #include "server/eventloop.hh"
+#include "server/replica.hh"
 #include "server/signalserver.hh"
 #include "server/tenants.hh"
 #include "server/zipf.hh"
@@ -389,6 +393,160 @@ TEST(Tenants, SharedCarrierKernelIsBitIdenticalToInlineFormula)
         }
     }
 }
+
+TEST(Tenants, InlineRoundMatchesLlround)
+{
+    // roundUnits() replaces std::llround in the materialization
+    // kernel; over [0, 2^52) it must agree on every double, including
+    // the halfway cases and the largest double below one half (which
+    // floor(x + 0.5) rounds up).
+    const auto expectSame = [](double x) {
+        ASSERT_EQ(roundUnits(x),
+                  static_cast<std::uint64_t>(std::llround(x)))
+            << std::hexfloat << x;
+    };
+    expectSame(0.0);
+    expectSame(0.49999999999999994);
+    for (double k = 0.0; k < 4096.0; k += 1.0) {
+        expectSame(k + 0.5);
+        expectSame(std::nextafter(k + 0.5, 0.0));
+    }
+    for (int bits = 12; bits < 52; ++bits) {
+        const double k = std::ldexp(1.0, bits);
+        for (double x : {k - 1.0, k, k + 1.0}) {
+            expectSame(x + 0.5);
+            expectSame(std::nextafter(x + 0.5, 0.0));
+        }
+    }
+    const double two52 = std::ldexp(1.0, 52);
+    expectSame(two52 - 0.5);
+    expectSame(two52);
+    expectSame(two52 + 1.0);
+    Rng rng(2052);
+    const double two50 = std::ldexp(1.0, 50);
+    for (int i = 0; i < 1000000; ++i)
+        expectSame(rng.uniform() * two50);
+}
+
+TEST(Tenants, MeanDemandAboveTheExactRoundingBoundIsRejected)
+{
+    TenantPopulation::Config config;
+    config.meanDemandUnits = kMaxMeanDemandUnits;
+    EXPECT_NO_THROW(TenantPopulation{config});
+    config.meanDemandUnits = kMaxMeanDemandUnits + 1;
+    try {
+        TenantPopulation population(config);
+        FAIL() << "meanDemandUnits above 2^50 was accepted";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("meanDemandUnits"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(TenantsDeathTest, AccumulateRejectsSpansOfTheWrongLength)
+{
+    // A span shorter than periodSamples would be written past its
+    // end; the kernel's assertion, which this repository keeps in
+    // optimized builds, stops that.
+    TenantPopulation::Config config;
+    config.tenants = 10;
+    const TenantPopulation pop(config);
+    const std::vector<double> carrier = pop.diurnalCarrier(3);
+    std::vector<std::uint64_t> out(config.periodSamples, 0);
+    std::vector<std::uint64_t> shortOut(config.periodSamples - 1, 0);
+    const std::vector<double> shortCarrier(carrier.begin() + 1,
+                                           carrier.end());
+    EXPECT_DEATH(pop.accumulatePeriod(1, 3, carrier, shortOut),
+                 "out.size\\(\\) == samples");
+    EXPECT_DEATH(pop.accumulatePeriod(1, 3, shortCarrier, out),
+                 "carrier.size\\(\\) == samples");
+}
+
+/** The population a server with @p config builds. */
+TenantPopulation::Config
+populationConfig(const ServerConfig &config)
+{
+    TenantPopulation::Config pc;
+    pc.tenants = config.tenants;
+    pc.zipfS = config.zipfS;
+    pc.seed = config.seed;
+    pc.periodSamples = config.periodSamples;
+    pc.maxBatchPeriods = config.maxBatchPeriods;
+    pc.meanDemandUnits = config.meanDemandUnits;
+    return pc;
+}
+
+/** Every batch the population offers at @p period, in rank order,
+ *  straight from pushesAt() and batchAt(). */
+std::vector<durability::WalBatch>
+scheduledBatches(const TenantPopulation &pop, std::uint64_t period)
+{
+    std::vector<durability::WalBatch> batches;
+    for (std::uint64_t t = 0; t < pop.size(); ++t) {
+        if (!pop.pushesAt(t, period))
+            continue;
+        const BatchRef batch = pop.batchAt(t, period);
+        if (batch.coveredPeriods == 0)
+            continue;
+        durability::WalBatch want;
+        want.tenant = batch.tenant;
+        want.period = batch.period;
+        want.coveredPeriods = batch.coveredPeriods;
+        batches.push_back(want);
+    }
+    return batches;
+}
+
+class ReplicaSchedule : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(ReplicaSchedule, LiveArrivalsOfferThePopulationScheduleInRankOrder)
+{
+    // Under unlimited admission every offer is admitted, so each live
+    // arrival tick's admitted list must be the population's schedule
+    // exactly: the replica's cached push table may not add, drop or
+    // reorder a batch. Periods [0, 1680] run every cadence up to 8
+    // through two full cycles (lcm(1..8) = 840).
+    ServerConfig config;
+    config.tenants = 100000;
+    config.shards = 4;
+    config.admissionRate = 0;
+    config.maxBatchPeriods = GetParam();
+    config.durationPeriods = 1681;
+    config.windowPeriods = 2;
+    config.periodSamples = 1;
+    const TenantPopulation population(populationConfig(config));
+    // Only a close tick drains the shard inboxes, so each block of
+    // periods gets a fresh replica; the block's references are
+    // independent and fill in parallel.
+    constexpr std::uint64_t kBlock = 8;
+    for (std::uint64_t first = 0; first < config.durationPeriods;
+         first += kBlock) {
+        const std::uint64_t count =
+            std::min(kBlock, config.durationPeriods - first);
+        std::vector<std::vector<durability::WalBatch>> want(count);
+        parallel::parallelFor(0, count, 1, [&](std::size_t lo,
+                                               std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                want[i] = scheduledBatches(population, first + i);
+        });
+        Replica replica(config, population);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const std::uint64_t p = first + i;
+            const durability::WalTickRecord record =
+                replica.applyArrivalsLive(p);
+            ASSERT_EQ(record.admitted.size(), want[i].size())
+                << "period " << p;
+            ASSERT_TRUE(record.admitted == want[i]) << "period " << p;
+            ASSERT_TRUE(record.deferredOut.empty()) << "period " << p;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(MaxBatchPeriods, ReplicaSchedule,
+                         ::testing::Values(1u, 8u, 64u));
 
 // ---- Server contracts ----------------------------------------------
 

@@ -500,8 +500,8 @@ TEST(WalDigest, RoutesUnitsByTenantModShards)
     const auto units = [](std::uint64_t tenant, std::uint64_t) {
         return tenant * 100;
     };
-    const WindowDigests derived =
-        deriveWindowDigests({record}, 2, 4, 9, units);
+    const WindowDigests derived = deriveWindowDigests(
+        std::vector<WalTickRecord>{record}, 2, 4, 9, units);
     EXPECT_EQ(derived.fleet, windowSumDigest(1, {300}));
     EXPECT_EQ(derived.shard[0], windowSumDigest(1, {0}));
     EXPECT_EQ(derived.shard[1], windowSumDigest(1, {300}));
