@@ -87,6 +87,12 @@ struct LzCompr
 {
     static constexpr const char *kName = "lz";
 
+    /** Most raw bytes one stored byte decodes to: a 3-byte match
+     *  token emits at most 273 bytes (literals emit one per byte).
+     *  Decoders bound an untrusted raw size by this before
+     *  allocating. */
+    static constexpr std::size_t kMaxExpansion = 91;
+
     static std::vector<std::uint8_t> compress(const std::uint8_t *data,
                                               std::size_t size);
 

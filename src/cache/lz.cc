@@ -56,6 +56,9 @@ namespace
 constexpr std::size_t kMinMatch = 3;
 constexpr std::size_t kMaxShortMatch = 17; // length codes 0..14
 constexpr std::size_t kMaxMatch = 273;     // code 15 + extension byte
+// The longest match costs 3 stored bytes; LzCompr::kMaxExpansion
+// must cover it.
+static_assert(kMaxMatch <= 3 * LzCompr::kMaxExpansion);
 constexpr std::size_t kWindow = 4095;      // 12-bit backward offset
 constexpr std::size_t kHashBits = 13;
 constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;

@@ -564,20 +564,6 @@ loadWal(const std::string &dir, std::uint64_t config_hash)
     return result;
 }
 
-std::vector<WalTickRecord>
-loadSealedSegment(const std::string &dir, std::uint64_t index,
-                  std::uint64_t config_hash)
-{
-    const std::string path = segmentPath(dir, index, true);
-    const auto bytes = readFileBytes(path);
-    const std::uint64_t first = checkHeader(bytes, path, config_hash);
-    SegmentParse parse = parseRecords(bytes, first);
-    if (!parse.damage.empty())
-        throw WalIntegrityError("sealed wal segment '" + path +
-                                "' is damaged: " + parse.damage);
-    return std::move(parse.records);
-}
-
 WalWriter::WalWriter(const Options &options) : options_(options)
 {
     if (options_.dir.empty())
@@ -659,12 +645,9 @@ WalWriter::seal()
     if (ec)
         throw WalIntegrityError("cannot seal wal segment '" +
                                 path_ + "': " + ec.message());
-    const std::uint64_t index = segmentIndex_;
     ++segmentIndex_;
     ++sealed_;
     FAIRCO2_COUNT("durability.wal.seals", 1);
-    if (options_.onSeal)
-        options_.onSeal(index);
 }
 
 void

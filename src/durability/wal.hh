@@ -32,8 +32,7 @@
  * When a segment reaches its record capacity it is *sealed*: the
  * file is flushed and atomically renamed `.open` -> `.seg` (the same
  * tmp+rename discipline the checkpoint store uses), and the next
- * `.open` segment is created. Sealing is the replication unit — the
- * hot standby consumes sealed segments only, until failover.
+ * `.open` segment is created.
  *
  * ## Integrity contract
  *
@@ -161,12 +160,6 @@ struct WalLoadResult
 WalLoadResult loadWal(const std::string &dir,
                       std::uint64_t config_hash);
 
-/** Load one sealed segment (standby shipping path). Throws
- *  WalIntegrityError on any damage. */
-std::vector<WalTickRecord> loadSealedSegment(const std::string &dir,
-                                             std::uint64_t index,
-                                             std::uint64_t config_hash);
-
 /** Path of segment @p index inside @p dir ("wal-%06llu" + suffix). */
 std::string segmentPath(const std::string &dir, std::uint64_t index,
                         bool sealed);
@@ -196,8 +189,6 @@ class WalWriter
         /** Global index of the first record this writer appends
          *  (recovery adoption; 0 for a fresh log). */
         std::uint64_t firstRecordIndex = 0;
-        /** Called after a segment seals (standby shipping). */
-        std::function<void(std::uint64_t index)> onSeal;
     };
 
     explicit WalWriter(const Options &options);

@@ -69,11 +69,18 @@ SeasonalForecaster::featuresAt(double seconds) const
     return f;
 }
 
+std::size_t
+SeasonalForecaster::minHistorySamples() const
+{
+    return 2 + 2 * static_cast<std::size_t>(config_.dailyHarmonics +
+                                            config_.weeklyHarmonics);
+}
+
 void
 SeasonalForecaster::fit(const trace::TimeSeries &history)
 {
     const std::size_t n = history.size();
-    const std::size_t p = featuresAt(0.0).size();
+    const std::size_t p = minHistorySamples();
     if (n < p)
         throw std::invalid_argument(
             "history too short for the seasonal model");

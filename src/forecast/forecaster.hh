@@ -33,8 +33,14 @@ class SeasonalForecaster
     explicit SeasonalForecaster(const Config &config);
 
     /**
-     * Fit the model to a history starting at time zero. Requires at
-     * least as many samples as model features.
+     * Fewest history samples fit() accepts: one per model feature
+     * (intercept, trend, and a cosine/sine pair per harmonic).
+     */
+    std::size_t minHistorySamples() const;
+
+    /**
+     * Fit the model to a history starting at time zero. Throws
+     * std::invalid_argument on fewer than minHistorySamples().
      *
      * When the ridge fit diverges — the history contains non-finite
      * samples, the Cholesky solve fails, or the solved weights are
@@ -50,10 +56,10 @@ class SeasonalForecaster
      * Fit the seasonal-naive fallback model directly — the last
      * daily period of @p history, interpolation-repaired, tiled
      * forward — without attempting the ridge fit at all. This is the
-     * degraded forecast mode the pipeline supervisor drops to when
-     * the full fit keeps failing or the stage runs out of deadline
-     * budget; the forecaster reports degraded() afterwards. Requires
-     * a non-empty history (throws std::invalid_argument otherwise).
+     * degraded forecast mode the pipeline takes when the history is
+     * shorter than minHistorySamples(); the forecaster reports
+     * degraded() afterwards. Requires a non-empty history (throws
+     * std::invalid_argument otherwise).
      */
     void fitNaive(const trace::TimeSeries &history);
 

@@ -6,9 +6,7 @@
 #include "core/baselines.hh"
 #include "core/temporal.hh"
 #include "resilience/faultplan.hh"
-#include "shapley/exact.hh"
 #include "shapley/incremental.hh"
-#include "shapley/peak.hh"
 
 namespace fairco2::pipeline
 {
@@ -26,59 +24,6 @@ attributeExact(const trace::TimeSeries &window, double pool_grams,
     out.unattributedGrams = result.unattributedGrams;
     out.leafPeriods = result.leafPeriods;
     out.operations = result.operations;
-    return out;
-}
-
-AttributionOutput
-attributeSampled(const trace::TimeSeries &window, double pool_grams,
-                 std::size_t periods, std::size_t permutations,
-                 const Rng &base)
-{
-    FAIRCO2_SPAN("pipeline.attribute.sampled");
-    AttributionOutput out;
-    const std::size_t n = window.size();
-    if (n == 0) {
-        out.intensity = window;
-        out.unattributedGrams = pool_grams;
-        return out;
-    }
-    periods = std::max<std::size_t>(1, std::min(periods, n));
-    permutations = std::max<std::size_t>(1, permutations);
-
-    std::vector<double> peaks(periods), usage(periods);
-    std::vector<std::size_t> begins(periods + 1);
-    for (std::size_t i = 0; i <= periods; ++i)
-        begins[i] = i * n / periods;
-    for (std::size_t i = 0; i < periods; ++i) {
-        peaks[i] = window.peak(begins[i], begins[i + 1]);
-        usage[i] = window.integral(begins[i], begins[i + 1]);
-    }
-
-    shapley::PeakGame game(peaks);
-    Rng rng = base.fork(std::uint64_t{0x5A} << 56);
-    const auto phi = shapley::sampledShapley(game, rng, permutations);
-
-    // Eq. 5 normalization: y_i = phi_i * C / sum_k phi_k q_k. The
-    // sampled phi is noisy, but normalization makes the
-    // usage-weighted intensity mass exactly the pool regardless.
-    double denom = 0.0;
-    for (std::size_t i = 0; i < periods; ++i)
-        denom += phi[i] * usage[i];
-
-    std::vector<double> values(n, 0.0);
-    if (denom > 0.0) {
-        for (std::size_t i = 0; i < periods; ++i) {
-            const double y = phi[i] * pool_grams / denom;
-            for (std::size_t t = begins[i]; t < begins[i + 1]; ++t)
-                values[t] = y;
-            out.attributedGrams += y * usage[i];
-        }
-    }
-    out.intensity = trace::TimeSeries(std::move(values),
-                                      window.stepSeconds());
-    out.unattributedGrams = pool_grams - out.attributedGrams;
-    out.leafPeriods = periods;
-    FAIRCO2_OBSERVE("pipeline.sampled_permutations", permutations);
     return out;
 }
 

@@ -1,30 +1,21 @@
 /**
  * @file
- * The Shapley stage's degradation ladder.
+ * The attribution methods the pipeline publishes from.
  *
- * Up to four rungs, all of which preserve the efficiency axiom
- * (attributed + unattributed == pool) by construction:
+ * All three preserve the efficiency axiom (attributed + unattributed
+ * == pool) by construction:
  *
- *  - incremental (only when PipelineConfig enables it): the
- *    sliding-window IncrementalTemporalEngine streams the demand
- *    window period by period, memoizing sub-game solves; a
- *    CacheIntegrityError (e.g. from the fault plan's `cache-corrupt`
- *    key) crashes the attempt and descends to the next rung.
  *  - exact: the full hierarchical Temporal Shapley attribution
- *    (TemporalShapley::attribute) — the paper's signal. Level 0 when
- *    incremental mode is off, the full-recompute fallback otherwise.
- *  - sampled: a single-level peak game over at most
- *    kSampledMaxPeriods coarse periods, solved by permutation
- *    sampling with a trial budget the supervisor shrinks as the
- *    deadline drains; intensities are normalized per Eq. 5
- *    (y_i = phi_i * C / sum_k phi_k q_k), so usage-weighted mass
- *    still sums to the pool.
+ *    (TemporalShapley::attribute) — the paper's signal;
+ *  - incremental: the sliding-window IncrementalTemporalEngine
+ *    streams the demand window period by period, memoizing sub-game
+ *    solves; a CacheIntegrityError (e.g. from the fault plan's
+ *    `cache-corrupt` key) propagates to the caller, and
+ *    runAttributionPipeline answers it with attributeExact;
  *  - proportional: the RUP baseline's constant intensity — no game
- *    at all, but still exactly efficient.
- *
- * The property tests assert the axiom at every rung within
- * kEfficiencyTolerance (relative); the chaos soak re-asserts it on
- * every degraded scenario.
+ *    at all. Billing prices every consumer against it for
+ *    comparison, and the serve overload governor's top rung
+ *    publishes it.
  */
 
 #ifndef FAIRCO2_PIPELINE_ATTRIBUTION_HH
@@ -34,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hh"
 #include "trace/timeseries.hh"
 
 namespace fairco2::resilience
@@ -45,67 +35,46 @@ class FaultPlan;
 namespace fairco2::pipeline
 {
 
-/** Ladder depth of the Shapley stage without the incremental rung
- *  (levels 0..2); incremental mode prepends one more level. */
-constexpr std::uint32_t kShapleyMaxLevel = 2;
-
-/** Players in the level-1 sampled peak game (must stay <= 64,
- *  the CoalitionGame mask width). */
-constexpr std::size_t kSampledMaxPeriods = 60;
-
-/** Relative efficiency tolerance every rung is tested against:
- *  |attributed + unattributed - pool| <= tol * pool. Level 0 and 2
- *  are exact up to rounding; level 1 normalizes sampled values, so
- *  all three sit far inside this bound. */
+/** Relative efficiency tolerance every method is tested against:
+ *  |attributed + unattributed - pool| <= tol * pool. Every method is
+ *  exact up to rounding, so all sit far inside this bound. */
 constexpr double kEfficiencyTolerance = 1e-6;
 
-/** What every ladder rung produces. */
+/** What every attribution method produces. */
 struct AttributionOutput
 {
     trace::TimeSeries intensity; //!< g per resource-second, per step
     double attributedGrams = 0.0;
     double unattributedGrams = 0.0; //!< pool minus attributed
     std::size_t leafPeriods = 0;    //!< attribution granularity
-    std::uint64_t operations = 0;   //!< solver work (level 0 only)
+    std::uint64_t operations = 0;   //!< solver work (0 for RUP)
 };
 
-/** Level 0: exact hierarchical Temporal Shapley. */
+/** Exact hierarchical Temporal Shapley. */
 AttributionOutput
 attributeExact(const trace::TimeSeries &window, double pool_grams,
                const std::vector<std::size_t> &splits);
 
-/**
- * Level 1: single-level sampled peak game over at most @p periods
- * coarse periods with @p permutations sampled permutations (clamped
- * to >= 1). Randomness comes from forked streams of @p base, so the
- * result is pure in (window, pool, periods, permutations, seed).
- */
-AttributionOutput
-attributeSampled(const trace::TimeSeries &window, double pool_grams,
-                 std::size_t periods, std::size_t permutations,
-                 const Rng &base);
-
-/** Level 2: RUP-baseline constant intensity. */
+/** RUP-baseline constant intensity. */
 AttributionOutput
 attributeProportional(const trace::TimeSeries &window,
                       double pool_grams);
 
 /**
- * Incremental rung: stream @p window through a sliding
- * IncrementalTemporalEngine of @p window_periods periods of
- * @p period_samples samples each (0 derives a period size that makes
- * the window span half the trace, so the replay always slides) and
- * publish the newest period's intensity on every advance. Attribution covers the samples the sliding window visits
+ * Stream @p window through a sliding IncrementalTemporalEngine of
+ * @p window_periods periods of @p period_samples samples each (0
+ * derives a period size that makes the window span half the trace,
+ * so the replay always slides) and publish the newest period's
+ * intensity on every advance. Attribution covers the samples the
+ * sliding window visits
  * (a multiple of the period size); the pool share of any tail samples
  * stays unattributed, so attributed + unattributed == pool by
  * construction. @p inner_splits shape each period's inner hierarchy
  * and @p cache_capacity bounds the sub-game cache (0 = memoization
  * off) — every capacity yields byte-identical output. When @p plan
- * carries a nonzero `cache-corrupt` probability,
- * cache entries are deterministically corrupted before some advances;
- * the resulting CacheIntegrityError propagates to the caller (the
- * supervisor turns it into a stage crash and falls back to
- * attributeExact).
+ * carries a nonzero `cache-corrupt` probability, cache entries are
+ * deterministically corrupted before some advances; the resulting
+ * CacheIntegrityError propagates to the caller.
  */
 AttributionOutput
 attributeIncremental(const trace::TimeSeries &window,

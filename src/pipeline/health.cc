@@ -89,7 +89,6 @@ RunHealth::toJson() const
     out << "  \"degraded\": " << boolName(degraded) << ",\n";
     out << "  \"interrupted\": " << boolName(interrupted) << ",\n";
     out << "  \"exit_code\": " << exitCode << ",\n";
-    out << "  \"seed\": " << seed << ",\n";
     out << "  \"fault_plan\": \"" << jsonEscape(faultPlan) << "\",\n";
     out << "  \"stages\": [";
     for (std::size_t i = 0; i < stages.size(); ++i) {
@@ -99,31 +98,11 @@ RunHealth::toJson() const
         out << "      \"name\": \"" << jsonEscape(s.name) << "\",\n";
         out << "      \"status\": \"" << stageStatusName(s.status)
             << "\",\n";
-        out << "      \"attempts\": " << s.attempts << ",\n";
-        out << "      \"retries\": " << s.retries << ",\n";
-        out << "      \"crashes\": " << s.crashes << ",\n";
-        out << "      \"timeouts\": " << s.timeouts << ",\n";
-        out << "      \"injected_crashes\": " << s.injectedCrashes
-            << ",\n";
-        out << "      \"injected_stalls\": " << s.injectedStalls
-            << ",\n";
-        out << "      \"injected_timeouts\": " << s.injectedTimeouts
-            << ",\n";
-        out << "      \"breaker_trips\": " << s.breakerTrips << ",\n";
-        out << "      \"degradation_level\": " << s.degradationLevel
-            << ",\n";
-        out << "      \"deadline_ms\": " << s.deadlineMs << ",\n";
-        out << "      \"start_ms\": " << s.startMs << ",\n";
-        out << "      \"end_ms\": " << s.endMs << ",\n";
-        out << "      \"backoff_ms\": [";
-        for (std::size_t b = 0; b < s.backoffMs.size(); ++b)
-            out << (b ? ", " : "") << s.backoffMs[b];
-        out << "],\n";
         out << "      \"note\": \"" << jsonEscape(s.note) << "\"\n";
         out << "    }";
     }
     out << (stages.empty() ? "" : "\n  ") << "],\n";
-    out << "  \"schema_version\": 1\n";
+    out << "  \"schema_version\": 2\n";
     out << "}\n";
     return out.str();
 }

@@ -3,21 +3,16 @@
  * Machine-readable run-health reporting.
  *
  * A degraded attribution number is only defensible if the degradation
- * is *declared*: RunHealth records, per stage, how many attempts and
- * retries it took, which faults were injected, whether the circuit
- * breaker tripped, and which degradation-ladder rung finally produced
- * output. The report is serialized as JSON (`--health-out`) and is a
- * pure function of the run configuration and seed — no wall-clock
- * timestamps, only SimClock virtual milliseconds — so the chaos-soak
- * harness can assert it byte-for-byte against the injected fault
- * schedule, and two runs at different `--threads N` emit identical
- * reports.
+ * is *declared*: RunHealth records, per pipeline stage, how it ended
+ * and why (the note names the fallback taken or the error that failed
+ * it). The report is serialized as JSON (`--health-out`) and is a
+ * pure function of the inputs and configuration — no timestamps — so
+ * two runs at different `--threads N` emit identical reports.
  */
 
 #ifndef FAIRCO2_PIPELINE_HEALTH_HH
 #define FAIRCO2_PIPELINE_HEALTH_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,35 +24,22 @@ enum class StageStatus
 {
     Skipped,  //!< never ran (disabled, or an earlier stage failed)
     Ok,       //!< produced full-fidelity output
-    Degraded, //!< produced output on a lower ladder rung
-    Failed,   //!< exhausted every rung and retry without output
+    Degraded, //!< produced output through a declared fallback
+    Failed,   //!< threw; the note carries the error
 };
 
 /** Lower-case status name used in the JSON report. */
 const char *stageStatusName(StageStatus status);
 
-/** Supervision record for one pipeline stage. */
+/** Outcome of one pipeline stage. */
 struct StageHealth
 {
     std::string name;
     StageStatus status = StageStatus::Skipped;
-    std::uint32_t attempts = 0; //!< bodies started (incl. injected)
-    std::uint32_t retries = 0;  //!< backoff-delayed re-attempts
-    std::uint32_t crashes = 0;  //!< failed attempts (real + injected)
-    std::uint32_t timeouts = 0; //!< attempts that blew the deadline
-    std::uint64_t injectedCrashes = 0;  //!< from the fault plan
-    std::uint64_t injectedStalls = 0;   //!< from the fault plan
-    std::uint64_t injectedTimeouts = 0; //!< from the fault plan
-    std::uint32_t breakerTrips = 0;
-    std::uint32_t degradationLevel = 0; //!< ladder rung that ended it
-    std::uint64_t deadlineMs = 0;
-    std::uint64_t startMs = 0; //!< SimClock at stage entry
-    std::uint64_t endMs = 0;   //!< SimClock at stage exit
-    std::vector<std::uint64_t> backoffMs; //!< each retry's delay
-    std::string note; //!< human-readable cause trail (may be empty)
+    std::string note; //!< fallback taken, error, or skip reason
 };
 
-/** Whole-run supervision record. */
+/** Whole-run record. */
 struct RunHealth
 {
     bool ok = false;       //!< produced, full fidelity, no failures
@@ -65,7 +47,6 @@ struct RunHealth
     bool degraded = false; //!< any stage ran below full fidelity
     bool interrupted = false; //!< stopped on SIGINT/SIGTERM
     int exitCode = 1;      //!< the process exit the front end owes
-    std::uint64_t seed = 0;
     std::string faultPlan; //!< spec string ("" when inactive)
     std::vector<StageHealth> stages;
 

@@ -2,13 +2,10 @@
  * @file
  * Admission-overload degradation ladder for the live-signal server.
  *
- * The pipeline supervisor degrades *within* one attribution attempt
- * (incremental -> exact -> sampled -> proportional) when a stage
- * crashes or its deadline drains. The OverloadGovernor is the
- * steady-state counterpart for the serving path: it watches the
- * admission controller's per-period pressure — the fraction of
- * offered batches that could not be admitted outright — and walks a
- * small hysteresis ladder:
+ * The OverloadGovernor answers real load on the serving path: it
+ * watches the admission controller's per-period pressure — the
+ * fraction of offered batches that could not be admitted outright —
+ * and walks a small hysteresis ladder:
  *
  *  - Normal: full service, exact incremental attribution.
  *  - ShedFree: Free-tier batches are rejected before they reach the

@@ -1,37 +1,34 @@
 /**
  * @file
- * The supervised end-to-end attribution pipeline.
+ * The end-to-end attribution pipeline.
  *
- * runAttributionPipeline() drives the full Fair-CO2 flow under the
- * Supervisor as five explicit stages:
+ * runAttributionPipeline() drives the full Fair-CO2 flow as five
+ * stages, in order:
  *
  *  1. ingest       — load and repair the demand series (and optional
- *                    per-consumer usage table); no ladder, bad input
- *                    is fatal (exit 2), transient crashes retry.
+ *                    per-consumer usage table).
  *  2. forecast     — extend the window by the configured horizon.
- *                    Ladder: full seasonal fit -> seasonal-naive
- *                    (fitNaive) -> skip the horizon entirely. The
- *                    stage is optional: even a Failed forecast only
- *                    shrinks the window back to the history.
- *  3. shapley      — attribute the pool over the window. Ladder:
- *                    [incremental sliding-window, only when
- *                    incrementalWindowPeriods > 0] -> exact
- *                    hierarchical -> sampled with a permutation
- *                    budget that shrinks with the remaining deadline
- *                    and the attempt count -> proportional (RUP)
- *                    baseline. A cache-integrity failure on the
- *                    incremental rung (see the fault plan's
- *                    `cache-corrupt` key) crashes the attempt and
- *                    descends a rung. Required.
+ *                    A history shorter than the seasonal model's
+ *                    feature count cannot be fit, so it gets the
+ *                    seasonal-naive forecast (fitNaive) and the stage
+ *                    reports Degraded. Skipped without a horizon.
+ *  3. shapley      — attribute the pool over the window: the
+ *                    incremental sliding-window engine when
+ *                    incrementalWindowPeriods > 0, else exact
+ *                    hierarchical Temporal Shapley. A cache-integrity
+ *                    failure in the incremental engine (see the fault
+ *                    plan's `cache-corrupt` key) falls back to the
+ *                    exact attribution and reports Degraded.
  *  4. interference — bill each usage column against the intensity
  *                    signal (and against the RUP baseline for
- *                    comparison). Required when usage is configured,
- *                    Skipped otherwise.
- *  5. report       — serialize the signal and bill CSVs. Required.
+ *                    comparison). Skipped without usage.
+ *  5. report       — serialize the signal and bill CSVs.
  *
- * Every stage cost is a deterministic function of the input sizes on
- * the SimClock, so a run's entire supervision history — and its
- * RunHealth JSON — is reproducible from (inputs, config, seed) alone.
+ * FatalDataError (unusable input) propagates, and front ends exit 2.
+ * Any other exception fails its stage with the error as the note,
+ * skips the later stages, and owes exit 1. A SIGINT/SIGTERM observed
+ * between stages skips the rest and owes exit 130. No stage output
+ * depends on the thread count, so neither does the RunHealth JSON.
  */
 
 #ifndef FAIRCO2_PIPELINE_RUNNER_HH
@@ -43,19 +40,19 @@
 #include <vector>
 
 #include "pipeline/attribution.hh"
-#include "pipeline/supervisor.hh"
+#include "pipeline/health.hh"
+#include "resilience/faultplan.hh"
 #include "resilience/ingest.hh"
 #include "trace/timeseries.hh"
 
 namespace fairco2::pipeline
 {
 
-/** Everything a supervised run needs. */
+/** Everything a run needs. */
 struct PipelineConfig
 {
     /** Demand input: either a CSV path + column, or an in-memory
-     *  series (used by the chaos soak and tests; takes precedence
-     *  when non-empty). */
+     *  series (used by tests; takes precedence when non-empty). */
     std::string demandPath;
     std::string demandColumn = "demand";
     trace::TimeSeries demandSeries;
@@ -69,12 +66,11 @@ struct PipelineConfig
     double poolGrams = 0.0;
     std::vector<std::size_t> splits{10, 9, 8, 12};
     std::size_t horizonSteps = 0; //!< 0 skips the forecast stage
-    std::size_t sampledPermutations = 256; //!< sampled-rung budget
 
     /** Sliding-window size, in periods, for the incremental Shapley
-     *  rung; 0 keeps the classic exact-first ladder. */
+     *  engine; 0 attributes with the exact engine instead. */
     std::size_t incrementalWindowPeriods = 0;
-    /** Sub-game LRU capacity for the incremental rung (0 disables
+    /** Sub-game memo capacity for the incremental engine (0 disables
      *  memoization — useful only for differential testing). */
     std::size_t incrementalCacheCapacity = 64;
 
@@ -84,10 +80,10 @@ struct PipelineConfig
 
     resilience::BadRowPolicy badRowPolicy =
         resilience::BadRowPolicy::Fail;
-    SupervisorConfig supervisor;
+    resilience::FaultPlan faultPlan;
 };
 
-/** Everything a supervised run produces. */
+/** Everything a run produces. */
 struct PipelineResult
 {
     RunHealth health;          //!< includes the owed exit code
@@ -101,9 +97,9 @@ struct PipelineResult
 };
 
 /**
- * Run the supervised pipeline. Throws FatalDataError on unusable
- * input (front ends exit 2); every other failure mode is absorbed
- * into the health report and the returned exit code.
+ * Run the pipeline. Throws FatalDataError on unusable input (front
+ * ends exit 2); every other failure is recorded in the health report
+ * and the returned exit code.
  */
 PipelineResult runAttributionPipeline(const PipelineConfig &config);
 

@@ -133,20 +133,40 @@ readCheckpointFile(const std::string &path)
     image.chunkTrials = readU64(cursor + 24);
     image.recordBytes = readU64(cursor + 32);
 
+    // The header's sizes are untrusted: every one is formed without
+    // wrapping, and the decoded payload is bounded by what the file's
+    // stored bytes can expand to before anything is allocated.
+    const auto corrupt_header = [&path](const std::string &why) {
+        return CheckpointError("corrupt checkpoint header (" + why +
+                               "): " + path);
+    };
     if (image.trials == 0 || image.chunkTrials == 0 ||
         image.recordBytes == 0)
-        throw CheckpointError("corrupt checkpoint header: " + path);
+        throw corrupt_header("zero size field");
     const std::uint64_t chunks =
-        (image.trials + image.chunkTrials - 1) / image.chunkTrials;
-    const std::uint64_t bitmap_bytes = (chunks + 7) / 8;
-    const std::uint64_t payload_bytes =
-        image.trials * image.recordBytes;
+        (image.trials - 1) / image.chunkTrials + 1;
+    const std::uint64_t bitmap_bytes = chunks / 8 + (chunks % 8 != 0);
+    std::uint64_t payload_bytes = 0;
+    if (__builtin_mul_overflow(image.trials, image.recordBytes,
+                               &payload_bytes))
+        throw corrupt_header("trials x record bytes overflows");
     const std::uint64_t stored_payload_bytes =
         compressed ? readU64(cursor + 40) : payload_bytes;
-    const std::uint64_t expected = header_bytes + bitmap_bytes +
-        stored_payload_bytes + sizeof(std::uint64_t);
-    if (bytes.size() != expected)
+    std::uint64_t expected = header_bytes + sizeof(std::uint64_t);
+    if (__builtin_add_overflow(expected, bitmap_bytes, &expected) ||
+        __builtin_add_overflow(expected, stored_payload_bytes,
+                               &expected) ||
+        bytes.size() != expected)
         throw CheckpointError("truncated checkpoint: " + path);
+    // stored_payload_bytes now fits in the file, so this cannot wrap.
+    const std::uint64_t max_expansion =
+        image.codec == cache::Codec::Lz ? cache::LzCompr::kMaxExpansion
+                                        : 1;
+    if (payload_bytes > stored_payload_bytes * max_expansion)
+        throw corrupt_header(std::to_string(payload_bytes) +
+                             " payload bytes cannot decode from " +
+                             std::to_string(stored_payload_bytes) +
+                             " stored bytes");
 
     const std::uint64_t stored =
         readU64(bytes.data() + bytes.size() - sizeof(std::uint64_t));

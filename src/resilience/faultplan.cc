@@ -63,11 +63,7 @@ FaultPlan::operator=(const FaultPlan &other)
     nan_ = other.nan_;
     nodeFail_ = other.nodeFail_;
     vmPreempt_ = other.vmPreempt_;
-    stageCrash_ = other.stageCrash_;
-    stageStall_ = other.stageStall_;
-    stageTimeout_ = other.stageTimeout_;
     cacheCorrupt_ = other.cacheCorrupt_;
-    primaryCrash_ = other.primaryCrash_;
     injected_.store(other.injected_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
     return *this;
@@ -117,22 +113,13 @@ FaultPlan::parse(const std::string &spec)
             plan.nodeFail_ = probability(key, value);
         } else if (key == "vm-preempt") {
             plan.vmPreempt_ = probability(key, value);
-        } else if (key == "stage-crash") {
-            plan.stageCrash_ = probability(key, value);
-        } else if (key == "stage-stall") {
-            plan.stageStall_ = probability(key, value);
-        } else if (key == "stage-timeout") {
-            plan.stageTimeout_ = probability(key, value);
         } else if (key == "cache-corrupt") {
             plan.cacheCorrupt_ = probability(key, value);
-        } else if (key == "primary-crash") {
-            plan.primaryCrash_ = probability(key, value);
         } else {
             throw std::invalid_argument(
                 "unknown fault-plan key '" + key +
                 "' (known: seed, drop, corrupt, nan, node-fail, "
-                "vm-preempt, stage-crash, stage-stall, "
-                "stage-timeout, cache-corrupt, primary-crash)");
+                "vm-preempt, cache-corrupt)");
         }
     }
 
@@ -140,9 +127,7 @@ FaultPlan::parse(const std::string &spec)
     plan.root_ = Rng(seed ^ 0x9d5af0c6b2e17d35ULL);
     plan.active_ = plan.drop_ > 0.0 || plan.corrupt_ > 0.0 ||
         plan.nan_ > 0.0 || plan.nodeFail_ > 0.0 ||
-        plan.vmPreempt_ > 0.0 || plan.stageCrash_ > 0.0 ||
-        plan.stageStall_ > 0.0 || plan.stageTimeout_ > 0.0 ||
-        plan.cacheCorrupt_ > 0.0 || plan.primaryCrash_ > 0.0;
+        plan.vmPreempt_ > 0.0 || plan.cacheCorrupt_ > 0.0;
     return plan;
 }
 
@@ -162,16 +147,8 @@ FaultPlan::probabilityFor(FaultSite site) const
         return nodeFail_;
       case FaultSite::VmPreempt:
         return vmPreempt_;
-      case FaultSite::StageCrash:
-        return stageCrash_;
-      case FaultSite::StageStall:
-        return stageStall_;
-      case FaultSite::StageTimeout:
-        return stageTimeout_;
       case FaultSite::CacheCorrupt:
         return cacheCorrupt_;
-      case FaultSite::PrimaryCrash:
-        return primaryCrash_;
       default:
         return 0.0;
     }

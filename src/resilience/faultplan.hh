@@ -15,26 +15,16 @@
  * Spec grammar (comma-separated key=value, all keys optional):
  *
  *     seed=42,drop=0.01,corrupt=0.005,nan=0.001,
- *     node-fail=0.02,vm-preempt=0.01,
- *     stage-crash=0.1,stage-stall=0.1,stage-timeout=0.05,
- *     cache-corrupt=0.1,primary-crash=0.1
+ *     node-fail=0.02,vm-preempt=0.01,cache-corrupt=0.1
  *
  * `drop`/`corrupt` poison telemetry samples and ingested CSV rows,
  * `nan` perturbs values at module boundaries, `node-fail` is the
  * per-node probability of one failure during a simulated horizon,
  * and `vm-preempt` is the per-VM probability of early termination.
- * The `stage-*` keys drive the pipeline supervisor
- * (fairco2::pipeline): per stage *attempt*, `stage-crash` makes the
- * attempt fail outright, `stage-stall` charges a deterministic chunk
- * of the stage's simulated deadline budget before the attempt runs,
- * and `stage-timeout` burns the attempt's whole remaining budget.
  * `cache-corrupt` flips one payload bit in the incremental Shapley
  * engine's sub-game cache before a window advance, so the engine's
- * checksum verification trips and the supervisor exercises the
- * incremental -> full-recompute degradation rung. `primary-crash`
- * is evaluated per arrival period by `fairco2 serve --standby`: the
- * first period it fires, the primary replica "dies" and the hot
- * standby fails over (fairco2::durability).
+ * checksum verification trips: `fairco2 run` then falls back to the
+ * exact attribution, and `fairco2 serve` rebuilds the fleet engine.
  * Probabilities must be in [0, 1]; a malformed spec throws
  * std::invalid_argument (front ends turn that into exit 2).
  */
@@ -71,12 +61,9 @@ enum class FaultSite : std::uint64_t
     VmPreempt = 8,        //!< simulated VM preempted early
     VmPreemptTime = 9,    //!< how much of its lifetime survives
     CorruptValue = 10,    //!< replacement factor for corruption
-    StageCrash = 11,      //!< pipeline stage attempt fails outright
-    StageStall = 12,      //!< stage attempt stalls first
-    StageTimeout = 13,    //!< stage attempt burns its whole budget
-    StageStallMs = 14,    //!< stall length (fraction of deadline)
+    // 11-14 and 16 belonged to deleted sites; a site's number is part
+    // of every decision's identity, so none is reused.
     CacheCorrupt = 15,    //!< incremental sub-game cache entry flips
-    PrimaryCrash = 16,    //!< serve primary dies; standby fails over
 };
 
 /** Deterministic, thread-safe fault decision source. */
@@ -134,11 +121,7 @@ class FaultPlan
     double nanProbability() const { return nan_; }
     double nodeFailProbability() const { return nodeFail_; }
     double vmPreemptProbability() const { return vmPreempt_; }
-    double stageCrashProbability() const { return stageCrash_; }
-    double stageStallProbability() const { return stageStall_; }
-    double stageTimeoutProbability() const { return stageTimeout_; }
     double cacheCorruptProbability() const { return cacheCorrupt_; }
-    double primaryCrashProbability() const { return primaryCrash_; }
 
     FaultPlan(const FaultPlan &other) { *this = other; }
     FaultPlan &operator=(const FaultPlan &other);
@@ -154,11 +137,7 @@ class FaultPlan
     double nan_ = 0.0;
     double nodeFail_ = 0.0;
     double vmPreempt_ = 0.0;
-    double stageCrash_ = 0.0;
-    double stageStall_ = 0.0;
-    double stageTimeout_ = 0.0;
     double cacheCorrupt_ = 0.0;
-    double primaryCrash_ = 0.0;
     mutable std::atomic<std::uint64_t> injected_{0};
 };
 

@@ -7,8 +7,8 @@
  * installShutdownHandler() once at startup; the handler only sets an
  * atomic flag (async-signal-safe), and cooperative loops poll
  * shutdownRequested() at natural boundaries — the checkpointed trial
- * loop checks before starting each chunk, and the pipeline
- * supervisor checks between stage attempts. The contract, tested by
+ * loop checks before starting each chunk, and the attribution
+ * pipeline checks between stages. The contract, tested by
  * the kill-signal ctest scripts:
  *
  *  1. the current checkpoint chunk finishes and is flushed to disk;

@@ -15,12 +15,6 @@ EventLoop::at(std::uint64_t tick, Callback fn)
     queue_.push(Event{tick, nextSeq_++, std::move(fn)});
 }
 
-void
-EventLoop::after(std::uint64_t delay, Callback fn)
-{
-    at(now_ + delay, std::move(fn));
-}
-
 std::uint64_t
 EventLoop::run()
 {

@@ -46,9 +46,6 @@ class EventLoop
      */
     void at(std::uint64_t tick, Callback fn);
 
-    /** Schedule @p fn @p delay ticks after now(). */
-    void after(std::uint64_t delay, Callback fn);
-
     /**
      * Run events in (tick, insertion) order until the queue is empty
      * or stop() is called. Returns the number of events executed.

@@ -20,10 +20,9 @@
  *
  * Both paths feed the identical applyClose(), so a replica recovered
  * from the log publishes byte-identical intensities to one that never
- * crashed, and a hot standby replaying shipped segments stays bitwise
- * in lockstep with the primary. windowDigests() exposes the FNV
- * fingerprint of the in-window per-period unit sums that the
- * anti-entropy scrub compares against the log-derived digests.
+ * crashed. windowDigests() exposes the FNV fingerprint of the
+ * in-window per-period unit sums that the anti-entropy scrub compares
+ * against the log-derived digests.
  */
 
 #ifndef FAIRCO2_SERVER_REPLICA_HH
@@ -63,9 +62,6 @@ struct DurabilityOptions
     /** Replay an existing WAL in walDir before serving new periods;
      *  without it a non-empty WAL directory is refused. */
     bool recover = false;
-    /** Run a hot-standby replica that replays sealed segments as
-     *  they ship and takes over on the fault plan's primary-crash. */
-    bool standby = false;
     /** Codec for WAL record payloads (per record, falls back to
      *  identity storage when compression does not pay). */
     cache::Codec walCodec = cache::Codec::Identity;

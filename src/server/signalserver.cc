@@ -1,9 +1,7 @@
 #include "signalserver.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <span>
 #include <stdexcept>
@@ -61,10 +59,6 @@ SignalServer::SignalServer(const ServerConfig &config)
         if (dur.recover)
             throw std::invalid_argument(
                 "SignalServer: recovery requires a wal directory");
-        if (dur.standby)
-            throw std::invalid_argument(
-                "SignalServer: a hot standby requires a wal "
-                "directory");
         if (dur.killTorn)
             throw std::invalid_argument(
                 "SignalServer: a torn kill requires a wal "
@@ -81,12 +75,6 @@ SignalServer::SignalServer(const ServerConfig &config)
 
 SignalServer::~SignalServer() = default;
 
-Replica &
-SignalServer::active()
-{
-    return crashed_ ? *standby_ : *primary_;
-}
-
 void
 SignalServer::setupDurability()
 {
@@ -100,17 +88,6 @@ SignalServer::setupDurability()
     wo.configHash = configHash_;
     wo.codec = dur.walCodec;
     wo.segmentRecords = dur.walSegmentRecords;
-    wo.onSeal = [this](std::uint64_t) {
-        // Ship the sealed segment: the standby replays from disk one
-        // tick later (after this tick's close), never from the
-        // primary's memory.
-        if (standby_ == nullptr || crashed_)
-            return;
-        loop_.after(1, [this] {
-            if (!crashed_)
-                syncStandbyFromDisk(true);
-        });
-    };
 
     std::vector<durability::WalTickRecord> tail;
     if (dur.recover) {
@@ -156,7 +133,7 @@ SignalServer::killNow()
 void
 SignalServer::publishOutcome(const Replica::CloseOutcome &outcome)
 {
-    Replica &rep = active();
+    const Replica &rep = *replica_;
     const AdmissionController::Totals &totals =
         rep.admission().totals();
     ServerSnapshot snap;
@@ -184,73 +161,6 @@ SignalServer::publishOutcome(const Replica::CloseOutcome &outcome)
 }
 
 void
-SignalServer::replayIntoStandby(
-    const durability::WalTickRecord &record)
-{
-    standby_->applyArrivalsReplay(record);
-    ++standbyConsumed_;
-    ++report_.standbyReplayedRecords;
-    const Replica::CloseOutcome outcome =
-        standby_->applyClose(record.period);
-    if (!outcome.published)
-        return;
-    // Zero-divergence contract: every publish the standby reproduces
-    // must match the primary's bit for bit.
-    if (standbyPublishIndex_ >= report_.publishedIntensity.size())
-        throw durability::WalIntegrityError(
-            "standby replay of period " +
-            std::to_string(record.period) +
-            " published ahead of the primary");
-    const double expect =
-        report_.publishedIntensity[standbyPublishIndex_];
-    if (std::memcmp(&outcome.fleetIntensity, &expect,
-                    sizeof(double)) != 0)
-        throw durability::WalIntegrityError(
-            "standby diverged from the primary at publish " +
-            std::to_string(standbyPublishIndex_) + " (period " +
-            std::to_string(outcome.period) + ")");
-    ++standbyPublishIndex_;
-    ++report_.standbyPublishChecks;
-}
-
-void
-SignalServer::syncStandbyFromDisk(bool sealed_only)
-{
-    const durability::WalLoadResult load =
-        durability::loadWal(config_.durability.walDir, configHash_);
-    std::size_t limit = load.records.size();
-    if (sealed_only)
-        limit -= static_cast<std::size_t>(load.tailRecords);
-    // Never replay past the primary: during recovery the log already
-    // holds ticks the primary has not re-driven yet.
-    limit = std::min<std::size_t>(limit, primaryRecords_);
-    for (std::size_t i = standbyConsumed_; i < limit; ++i)
-        replayIntoStandby(load.records[i]);
-}
-
-void
-SignalServer::failover(std::uint64_t period)
-{
-    crashed_ = true;
-    config_.faultPlan.noteInjected();
-    report_.failedOver = true;
-    report_.failoverPeriod = period;
-    FAIRCO2_COUNT("durability.failover", 1);
-    // Catch up from the log on disk — tail segment included; the
-    // dead primary's memory is gone by definition.
-    syncStandbyFromDisk(false);
-    // No-missing-period contract: after catch-up the standby's next
-    // publish continues the primary's stream exactly.
-    if (standbyPublishIndex_ != report_.publishedIntensity.size())
-        throw durability::WalIntegrityError(
-            "failover at period " + std::to_string(period) +
-            " left a publish gap: standby reproduced " +
-            std::to_string(standbyPublishIndex_) + " of " +
-            std::to_string(report_.publishedIntensity.size()) +
-            " publishes");
-}
-
-void
 SignalServer::handleArrivals(std::uint64_t period)
 {
     const DurabilityOptions &dur = config_.durability;
@@ -266,15 +176,9 @@ SignalServer::handleArrivals(std::uint64_t period)
         return;
     }
 
-    if (standby_ != nullptr && !crashed_ &&
-        config_.faultPlan.active() &&
-        config_.faultPlan.fires(resilience::FaultSite::PrimaryCrash,
-                                period))
-        failover(period);
-
     const std::uint64_t tick = loop_.now(); // == 2 * period
     const bool kill_here = dur.killAtTick == tick;
-    Replica &rep = active();
+    Replica &rep = *replica_;
 
     if (replayNext_ < replay_.size()) {
         // Recovery: re-drive the logged tick (already in the WAL —
@@ -299,7 +203,6 @@ SignalServer::handleArrivals(std::uint64_t period)
             wal_->append(record);
         }
     }
-    ++primaryRecords_;
 
     if (kill_here)
         killNow();
@@ -312,7 +215,7 @@ SignalServer::handleArrivals(std::uint64_t period)
 void
 SignalServer::handleClose(std::uint64_t period)
 {
-    const Replica::CloseOutcome outcome = active().applyClose(period);
+    const Replica::CloseOutcome outcome = replica_->applyClose(period);
     if (outcome.published)
         publishOutcome(outcome);
 
@@ -369,7 +272,7 @@ SignalServer::runScrub(std::uint64_t period)
                 return population_.accumulatePeriod(
                     tenant, p, carriers[p - window.first], scratch);
             });
-    const durability::WindowDigests live = active().windowDigests();
+    const durability::WindowDigests live = replica_->windowDigests();
     ++report_.scrubRuns;
     FAIRCO2_COUNT("durability.scrub.runs", 1);
     if (!(derived == live)) {
@@ -390,9 +293,7 @@ SignalServer::run()
         throw std::logic_error("SignalServer::run: already ran");
     ran_ = true;
 
-    primary_ = std::make_unique<Replica>(config_, population_);
-    if (config_.durability.standby)
-        standby_ = std::make_unique<Replica>(config_, population_);
+    replica_ = std::make_unique<Replica>(config_, population_);
     setupDurability();
 
     // Two ticks per period: arrivals at 2p, close at 2p+1. Arrival
@@ -415,25 +316,17 @@ SignalServer::run()
     loop_.run();
 
     // Clean finish (not a simulated crash): seal the tail so the log
-    // is all-sealed, then let the standby drain it completely — the
-    // lockstep check covers every publish of the run.
-    if (wal_ != nullptr && !halted_ && !report_.interrupted) {
+    // is all-sealed.
+    if (wal_ != nullptr && !halted_ && !report_.interrupted)
         wal_->seal();
-        if (standby_ != nullptr && !crashed_)
-            syncStandbyFromDisk(false);
-    }
-    if (wal_ != nullptr && report_.interrupted && standby_ != nullptr &&
-        !crashed_)
-        syncStandbyFromDisk(false);
 
-    Replica &rep = active();
+    const Replica &rep = *replica_;
     report_.periodsClosed = rep.periodsClosed();
     report_.publishes = cell_.publishes();
     report_.admission = rep.admission().totals();
     report_.batchesShed = rep.batchesShed();
     report_.eventsExecuted = loop_.executed();
-    report_.faultsInjected =
-        rep.faultsInjected() + (report_.failedOver ? 1 : 0);
+    report_.faultsInjected = rep.faultsInjected();
     report_.engineRebuilds = rep.engineRebuilds();
     report_.overloadEscalations = rep.governor().escalations();
     report_.overloadRecoveries = rep.governor().recoveries();

@@ -11,8 +11,8 @@
  * snapshot through parallel::SnapshotCell, so currentIntensity()
  * readers are wait-free while the writer streams. The per-tick state
  * machine itself lives in server::Replica; SignalServer drives one
- * (or two) replicas through the deterministic event loop and owns
- * everything around them: publication, reporting, and durability.
+ * replica through the deterministic event loop and owns everything
+ * around it: publication, reporting, and durability.
  *
  * ## Determinism contract
  *
@@ -59,13 +59,9 @@
  * WalIntegrityError on any divergence), so a server killed at any
  * tick republishes byte-identical signals. A torn tail is dropped at
  * the first bad checksum with a named diagnostic; damage to sealed
- * history is always an error. `--standby` keeps a second Replica in
- * lockstep by replaying sealed segments as they ship; the fault
- * plan's `primary-crash` site kills the primary at a deterministic
- * arrival tick and the standby finishes catch-up from disk and takes
- * over publishing with no missing period and zero divergence. A
- * periodic anti-entropy scrub re-derives the window digests from the
- * log and compares them to the live replica's.
+ * history is always an error. A periodic anti-entropy scrub
+ * re-derives the window digests from the log and compares them to the
+ * live replica's.
  *
  * ## Degradation
  *
@@ -151,12 +147,6 @@ struct ServerReport
     std::string walTailDiagnostic;   //!< names the drop point
     std::uint64_t scrubRuns = 0;
     std::uint64_t scrubMismatches = 0;
-    bool failedOver = false;         //!< primary-crash fired
-    std::uint64_t failoverPeriod = 0; //!< arrival period it fired at
-    std::uint64_t standbyReplayedRecords = 0;
-    /** Publishes the standby reproduced and compared bitwise against
-     *  the primary's (every one must match or the run aborts). */
-    std::uint64_t standbyPublishChecks = 0;
     bool interrupted = false;        //!< SIGINT/SIGTERM drain
 
     /** FNV-1a over the raw bytes of publishedIntensity — a compact
@@ -204,35 +194,22 @@ class SignalServer
     std::uint64_t publishes() const { return cell_.publishes(); }
 
   private:
-    Replica &active();
     void setupDurability();
     void handleArrivals(std::uint64_t period);
     void handleClose(std::uint64_t period);
     void publishOutcome(const Replica::CloseOutcome &outcome);
-    void failover(std::uint64_t period);
-    void syncStandbyFromDisk(bool sealed_only);
-    void replayIntoStandby(const durability::WalTickRecord &record);
     void runScrub(std::uint64_t period);
     [[noreturn]] void killNow();
 
     ServerConfig config_;
     TenantPopulation population_;
     EventLoop loop_;
-    std::unique_ptr<Replica> primary_;
-    std::unique_ptr<Replica> standby_;
+    std::unique_ptr<Replica> replica_;
     std::unique_ptr<durability::WalWriter> wal_;
     std::uint64_t configHash_ = 0;
     /** Recovery: logged ticks to re-drive before live serving. */
     std::vector<durability::WalTickRecord> replay_;
     std::size_t replayNext_ = 0;
-    /** Arrival ticks the primary has processed (replayed or live);
-     *  the standby never replays past this. */
-    std::uint64_t primaryRecords_ = 0;
-    /** Records the standby has replayed (global record index). */
-    std::uint64_t standbyConsumed_ = 0;
-    /** Next primary publish index the standby must reproduce. */
-    std::size_t standbyPublishIndex_ = 0;
-    bool crashed_ = false; //!< primary-crash fired; standby serves
     bool halted_ = false;  //!< haltAtTick stopped the loop abruptly
     std::uint64_t watermark_ = 0;
     parallel::SnapshotCell<ServerSnapshot> cell_;

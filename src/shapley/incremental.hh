@@ -36,9 +36,9 @@
  * before using it — an advance reads only the heads of the W-1
  * older slots, a full window reads whole trees — and a mismatch
  * throws CacheIntegrityError naming the offending window period and
- * the stored-vs-computed words, which the pipeline supervisor treats
- * as a stage crash and answers by descending to the full-recompute
- * rung. Cache behavior is observable through the
+ * the stored-vs-computed words, which the attribution pipeline
+ * answers with the exact full recompute. Cache behavior is
+ * observable through the
  * `shapley.cache.{hit,miss,evict,invalidate}` counters and the
  * per-engine CacheStats.
  */
@@ -65,8 +65,7 @@ namespace fairco2::shapley
  * longer reflects the period samples it was solved from. The message
  * names the offending window period (or period range) and the
  * stored-vs-computed checksum pair. Callers should drop the engine
- * and recompute from scratch; the pipeline supervisor maps this onto
- * the degradation ladder.
+ * and recompute from scratch, as runAttributionPipeline does.
  */
 class CacheIntegrityError : public std::runtime_error
 {

@@ -366,5 +366,64 @@ TEST(Checkpoint, MismatchedChunkSizeIsRejected)
     std::remove(path.c_str());
 }
 
+/**
+ * Write a checkpoint whose header declares @p trials, @p chunk_trials
+ * and @p record_bytes, with a one-byte chunk bitmap, @p stored
+ * payload bytes and a valid checksum: only the sizes are hostile.
+ * Version 2 files declare the lz codec.
+ */
+std::string
+forgedCheckpoint(const std::string &name, std::uint32_t version,
+                 std::uint64_t trials, std::uint64_t chunk_trials,
+                 std::uint64_t record_bytes,
+                 const std::string &stored)
+{
+    std::string bytes = "FC2K";
+    const auto put = [&bytes](const auto &value) {
+        bytes.append(reinterpret_cast<const char *>(&value),
+                     sizeof(value));
+    };
+    put(version);
+    if (version == 2)
+        put(std::uint32_t{1});
+    put(std::uint64_t{0}); // fingerprint
+    put(std::uint64_t{0}); // config hash
+    put(trials);
+    put(chunk_trials);
+    put(record_bytes);
+    if (version == 2)
+        put(std::uint64_t{stored.size()});
+    bytes.push_back('\x01');
+    bytes += stored;
+    put(fnv1a64(bytes.data(), bytes.size()));
+    const std::string path = tempPath(name);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+}
+
+TEST(Checkpoint, HugeDeclaredPayloadIsRejectedBeforeAllocating)
+{
+    // 2^40 trials of 2^20 bytes claim a 2^60-byte payload that 16
+    // stored bytes cannot decode to: a header error, not bad_alloc.
+    const std::string path = forgedCheckpoint(
+        "huge_payload", 2, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 40, std::uint64_t{1} << 20,
+        std::string(16, '\0'));
+    EXPECT_THROW(detail::readCheckpointFile(path), CheckpointError);
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, WrappingPayloadSizeIsRejected)
+{
+    // 2^63 trials of 2 bytes wrap trials * recordBytes to 0, which
+    // would match an empty payload and decode "successfully".
+    const std::string path = forgedCheckpoint(
+        "wrapping_payload", 1, std::uint64_t{1} << 63,
+        std::uint64_t{1} << 63, 2, "");
+    EXPECT_THROW(detail::readCheckpointFile(path), CheckpointError);
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace fairco2::resilience

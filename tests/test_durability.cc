@@ -3,10 +3,9 @@
  * Server-level durability tests: crash-identical replay recovery
  * (halt at any tick, recover, byte-identical published signal), the
  * recovery edge cases (empty log, only-sealed vs sealed + unsealed
- * tail), replay cross-check divergence, hot-standby lockstep and
- * primary-crash failover with no missing period and zero divergence,
- * the anti-entropy scrub, shard-independent replay, and the SIGTERM
- * drain path. Process-kill (`kill -9`) variants of the same contracts
+ * tail, a recovered run crashing again), replay cross-check
+ * divergence, the anti-entropy scrub, shard-independent replay, and
+ * the SIGTERM drain path. Process-kill (`kill -9`) variants of the same contracts
  * run through the CLI harnesses in tools/ (wal_kill_sweep.sh).
  */
 
@@ -193,6 +192,35 @@ TEST(Durability, HaltAtEveryTickRecoversByteIdentical)
     }
 }
 
+TEST(Durability, RecoveredRunHaltedAgainRecoversByteIdentical)
+{
+    // A log written partly by a recovered run (adopted tail, then
+    // fresh appends) must recover like any other, under an armed
+    // fault plan: halt, recover and halt again, recover to the end.
+    ServerConfig base = durableConfig();
+    base.faultPlan = resilience::FaultPlan::parse("cache-corrupt=0.2");
+    const ServerReport baseline = runServer(base);
+
+    ServerConfig crashed = base;
+    crashed.durability.walDir = walDir("halt_twice");
+    crashed.durability.haltAtTick = 7; // mid-segment: 4 records
+    runServer(crashed);
+
+    ServerConfig resumed = crashed;
+    resumed.durability.recover = true;
+    resumed.durability.haltAtTick = 21; // 11 records: one seal later
+    const ServerReport partial = runServer(resumed);
+    ASSERT_EQ(partial.replayedRecords, 4u);
+
+    ServerConfig recover = crashed;
+    recover.durability.recover = true;
+    recover.durability.haltAtTick = kNoTick;
+    const ServerReport report = runServer(recover);
+    EXPECT_EQ(report.replayedRecords, 11u);
+    expectSameSignal(report, baseline);
+    EXPECT_EQ(report.engineRebuilds, baseline.engineRebuilds);
+}
+
 TEST(Durability, RecoverFromEmptyWalDirServesNormally)
 {
     ServerConfig config = durableConfig();
@@ -342,85 +370,6 @@ TEST(Durability, ConfigHashMismatchRefusesReplay)
     other.durability.walDir = first.durability.walDir;
     other.durability.recover = true;
     EXPECT_THROW(runServer(other), durability::WalIntegrityError);
-}
-
-// ---- Hot standby + failover ----------------------------------------
-
-TEST(Durability, StandbyStaysInLockstep)
-{
-    const ServerReport baseline = runServer(durableConfig());
-
-    ServerConfig config = durableConfig();
-    config.durability.walDir = walDir("standby");
-    config.durability.standby = true;
-    const ServerReport report = runServer(config);
-
-    expectSameSignal(report, baseline);
-    EXPECT_FALSE(report.failedOver);
-    // Final catch-up replays the whole log and reproduces (and
-    // bitwise-checks) every primary publish.
-    EXPECT_EQ(report.standbyReplayedRecords, report.walRecords);
-    EXPECT_EQ(report.standbyPublishChecks, report.publishes);
-}
-
-TEST(Durability, FailoverHasNoGapAndZeroDivergence)
-{
-    const ServerReport baseline = runServer(durableConfig());
-
-    ServerConfig config = durableConfig();
-    config.durability.walDir = walDir("failover");
-    config.durability.standby = true;
-    config.faultPlan =
-        resilience::FaultPlan::parse("primary-crash=0.08");
-    const ServerReport report = runServer(config);
-
-    ASSERT_TRUE(report.failedOver);
-    // The standby's catch-up + takeover republished every period the
-    // primary would have: no missing period, bit-identical signal
-    // (failover itself throws on a publish gap; the signal comparison
-    // pins down zero divergence end to end).
-    expectSameSignal(report, baseline);
-    EXPECT_GE(report.faultsInjected, 1u);
-}
-
-TEST(Durability, FailoverPeriodIsDeterministic)
-{
-    ServerConfig config = durableConfig();
-    config.durability.walDir = walDir("failover_det1");
-    config.durability.standby = true;
-    config.faultPlan =
-        resilience::FaultPlan::parse("primary-crash=0.08");
-    const ServerReport first = runServer(config);
-    ASSERT_TRUE(first.failedOver);
-
-    config.durability.walDir = walDir("failover_det2");
-    const ServerReport second = runServer(config);
-    ASSERT_TRUE(second.failedOver);
-    EXPECT_EQ(first.failoverPeriod, second.failoverPeriod);
-}
-
-TEST(Durability, StandbyRecoveredRunStillFailsOver)
-{
-    // Crash the primary process (in-process halt) mid-run, then
-    // recover with the standby + primary-crash plan still armed: the
-    // recovered run must replay, then fail over, and still publish
-    // the baseline signal.
-    const ServerReport baseline = runServer(durableConfig());
-
-    ServerConfig crashed = durableConfig();
-    crashed.durability.walDir = walDir("standby_recover");
-    crashed.durability.standby = true;
-    crashed.faultPlan =
-        resilience::FaultPlan::parse("primary-crash=0.02");
-    crashed.durability.haltAtTick = 6;
-    runServer(crashed);
-
-    ServerConfig recover = crashed;
-    recover.durability.haltAtTick = kNoTick;
-    recover.durability.recover = true;
-    const ServerReport report = runServer(recover);
-    ASSERT_TRUE(report.recovered);
-    expectSameSignal(report, baseline);
 }
 
 // ---- Anti-entropy scrub --------------------------------------------
@@ -627,10 +576,6 @@ TEST(Durability, DurabilityFlagsRequireAWalDir)
     EXPECT_THROW(SignalServer{config}, std::invalid_argument);
 
     config = durableConfig();
-    config.durability.standby = true;
-    EXPECT_THROW(SignalServer{config}, std::invalid_argument);
-
-    config = durableConfig();
     config.durability.killTorn = true;
     EXPECT_THROW(SignalServer{config}, std::invalid_argument);
 
@@ -658,7 +603,7 @@ TEST(Durability, ConfigHashIgnoresDeploymentShape)
     EXPECT_NE(serverConfigHash(other), hash);
     other = base;
     other.faultPlan =
-        resilience::FaultPlan::parse("primary-crash=0.5");
+        resilience::FaultPlan::parse("cache-corrupt=0.5");
     EXPECT_NE(serverConfigHash(other), hash);
 }
 

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -231,6 +233,73 @@ TEST(FaultPlanDeathTest, BadFlagValueExits)
 TEST(FaultPlan, EmptyFlagValueStaysInactive)
 {
     EXPECT_FALSE(applyFaultPlanFlag("").active());
+}
+
+TEST(FaultPlan, KeptSitesDecideAsBefore)
+{
+    // A site's number is part of every decision's identity. These
+    // bits were captured before sites 11-14 and 16 were deleted; any
+    // renumbering or stream change shows up here.
+    const auto plan = FaultPlan::parse(
+        "seed=42,drop=0.3,corrupt=0.3,nan=0.3,node-fail=0.3,"
+        "vm-preempt=0.3,cache-corrupt=0.3");
+    const struct
+    {
+        FaultSite site;
+        std::uint64_t fires;     //!< bit i: fires(site, i)
+        std::uint64_t drawBits;  //!< draw(site, 7, 0, 1)
+    } pins[] = {
+        {FaultSite::TelemetryDrop, 0x508ad244d1574200ULL,
+         0x3fdb207a3400f78eULL},
+        {FaultSite::TelemetryCorrupt, 0x00d48325a3a0083cULL,
+         0x3fe011e147651008ULL},
+        {FaultSite::IngestDrop, 0x00808580598a0441ULL,
+         0x3fd5783fb72126aaULL},
+        {FaultSite::IngestCorrupt, 0x392309182a8c854bULL,
+         0x3fe8d4388a9fab6fULL},
+        {FaultSite::NanBoundary, 0x1640650598503864ULL,
+         0x3fec49bdc0d92095ULL},
+        {FaultSite::NodeFail, 0x5f22304212c10001ULL,
+         0x3fe2e5ba2ba7fa69ULL},
+        {FaultSite::NodeFailTime, 0, 0x3feb30a7ee214651ULL},
+        {FaultSite::VmPreempt, 0x580404115c202ab0ULL,
+         0x3fd0286af76fcd50ULL},
+        {FaultSite::VmPreemptTime, 0, 0x3fd852a5e942eb68ULL},
+        {FaultSite::CorruptValue, 0, 0x3fe0b6979f5b4a76ULL},
+        {FaultSite::CacheCorrupt, 0x004e024d85080100ULL,
+         0x3fe444949e32846eULL},
+    };
+    for (const auto &pin : pins) {
+        SCOPED_TRACE("site " +
+                     std::to_string(static_cast<int>(pin.site)));
+        std::uint64_t fires = 0;
+        for (std::uint64_t i = 0; i < 64; ++i)
+            if (plan.fires(pin.site, i))
+                fires |= std::uint64_t{1} << i;
+        EXPECT_EQ(fires, pin.fires);
+        const double draw = plan.draw(pin.site, 7, 0.0, 1.0);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &draw, sizeof(bits));
+        EXPECT_EQ(bits, pin.drawBits);
+    }
+    EXPECT_EQ(static_cast<int>(FaultSite::CacheCorrupt), 15);
+}
+
+TEST(FaultPlan, DeletedKeysAreRejectedByName)
+{
+    for (const char *key : {"stage-crash", "stage-stall",
+                            "stage-timeout", "primary-crash"}) {
+        try {
+            FaultPlan::parse(std::string(key) + "=0.1");
+            ADD_FAILURE() << key << " still parses";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find(std::string("unknown fault-plan key '") +
+                                key + "'"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 } // namespace

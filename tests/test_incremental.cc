@@ -567,11 +567,10 @@ TEST(IncrementalPipeline, DegradesToExactOnCacheCorruption)
     config.poolGrams = 50000.0;
     config.splits = {8, 4};
     config.incrementalWindowPeriods = 8;
-    config.supervisor.faultPlan =
-        resilience::FaultPlan::parse("cache-corrupt=1");
+    config.faultPlan = resilience::FaultPlan::parse("cache-corrupt=1");
     const auto result = pipeline::runAttributionPipeline(config);
 
-    // The incremental rung crashes on the corrupted cache; the exact
+    // The incremental engine throws on the corrupted cache; the exact
     // full recompute takes over and the run completes, degraded.
     EXPECT_TRUE(result.health.produced);
     EXPECT_TRUE(result.health.degraded);
@@ -579,7 +578,6 @@ TEST(IncrementalPipeline, DegradesToExactOnCacheCorruption)
     ASSERT_NE(shapley_stage, nullptr);
     EXPECT_EQ(shapley_stage->status,
               pipeline::StageStatus::Degraded);
-    EXPECT_GT(shapley_stage->crashes, 0u);
     EXPECT_NEAR(result.attribution.attributedGrams +
                     result.attribution.unattributedGrams,
                 config.poolGrams, 1e-6 * config.poolGrams);

@@ -153,9 +153,9 @@ TEST_F(SignalsTest, InterruptedPipelineReports130)
     config.poolGrams = 1000.0;
     config.splits = {4, 4};
     config.horizonSteps = 0;
-    // The flag is already set when the supervisor starts: the first
-    // stage observes it before its first attempt and the run closes
-    // out as interrupted, not as a failure.
+    // The flag is already set when the run starts: the check before
+    // the first stage observes it and the run closes out as
+    // interrupted, not as a failure.
     ASSERT_EQ(std::raise(SIGTERM), 0);
     const auto result = pipeline::runAttributionPipeline(config);
     EXPECT_TRUE(result.health.interrupted);

@@ -248,8 +248,6 @@ TEST(WalLoad, FlippedSealedByteAlwaysThrows)
     file.close();
 
     EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
-    EXPECT_THROW(loadSealedSegment(dir, 1, kHash),
-                 WalIntegrityError);
 }
 
 TEST(WalLoad, MissingSealedSegmentThrows)

@@ -35,7 +35,6 @@ trap 'rm -rf "$WORK"' EXIT
 cat > "$WORK/allow.txt" <<'EOF'
 --help
 --trials
---scenarios
 --smoke
 --days
 --readers

@@ -15,14 +15,14 @@
  *                    --out forecast.csv
  *   fairco2 run      --demand demand.csv --pool-grams 1e6
  *                    [--usage usage.csv] [--horizon-steps 288]
- *                    [--deadline-ms 2000] [--max-retries 3]
- *                    [--health-out health.json] [--seed 42]
+ *                    [--incremental-window 0]
+ *                    [--health-out health.json]
  *                    --out signal.csv [--bills-out bills.csv]
  *   fairco2 serve    [--tenants 1000] [--shards 4] [--zipf-s 1.1]
  *                    [--admission-rate 0] [--duration-periods 48]
  *                    [--window 8] [--period-samples 12]
  *                    [--cache-capacity 64] [--seed 42]
- *                    [--wal-dir wal/ [--recover] [--standby]
+ *                    [--wal-dir wal/ [--recover]
  *                     [--wal-compress] [--wal-segment-records 16]
  *                     [--scrub-periods 8]]
  *                    [--out served.csv]
@@ -34,10 +34,8 @@
  * `bill` integrates per-consumer usage columns against a
  * signal; `forecast` extends a demand series Prophet-style. `run`
  * drives the whole flow (ingest -> forecast -> Shapley ->
- * interference billing -> report) under the fairco2::pipeline
- * supervisor: per-stage deadlines on a simulated clock, bounded
- * deterministic retries, circuit breakers, and the degradation
- * ladder, with an honest RunHealth JSON written to `--health-out`.
+ * interference billing -> report) as five straight-line stages,
+ * with an honest RunHealth JSON written to `--health-out`.
  * `serve` drives the sharded multi-tenant live-signal server: a
  * deterministic discrete-event loop pushes Zipf-skewed tenant
  * telemetry through token-bucket admission into per-shard
@@ -45,16 +43,14 @@
  * for any `--shards`/`--threads` at the same seed, and the summary
  * line prints its FNV-1a signature. With `--wal-dir` every arrival
  * tick is group-committed to a checksummed write-ahead log;
- * `--recover` replays it byte-identically after a kill at any tick,
- * and `--standby` keeps a hot replica in lockstep that fails over on
- * the fault plan's `primary-crash` with no missing period.
+ * `--recover` replays it byte-identically after a kill at any tick.
  *
  * All commands accept `--on-bad-row={fail,skip,interpolate}` for
  * defective telemetry rows and `--fault-plan <spec>` for
  * deterministic fault injection; exit status 2 means bad input (a
  * malformed flag or unusable data), distinct from a crash. SIGINT/
- * SIGTERM stop the run at the next supervision boundary, still flush
- * the health report, and exit 130.
+ * SIGTERM stop the run at the next stage boundary, still flush the
+ * health report, and exit 130.
  */
 
 #include <cstdio>
@@ -227,7 +223,7 @@ runSignal(int argc, char **argv)
                      "with --incremental (the sliding engine "
                      "attributes measured demand only; use "
                      "`fairco2 run --incremental-window` for a "
-                     "supervised horizon blend)\n");
+                     "horizon blend)\n");
         return 2;
     }
 
@@ -436,11 +432,8 @@ runPipeline(int argc, char **argv)
     std::string splits_text = "10,9,8,12";
     std::string health_out;
     std::int64_t horizon_steps = 0;
-    std::int64_t deadline_ms = 2000;
-    std::int64_t max_retries = 3;
-    std::int64_t seed = 42;
     std::int64_t incremental_window = 0;
-    FlagSet flags("fairco2 run: supervised end-to-end attribution "
+    FlagSet flags("fairco2 run: end-to-end attribution "
                   "(ingest -> forecast -> Shapley -> billing -> "
                   "report)");
     flags.addString("demand", &config.demandPath,
@@ -457,15 +450,9 @@ runPipeline(int argc, char **argv)
                     "hierarchical split counts, comma-separated");
     flags.addInt("horizon-steps", &horizon_steps,
                  "forecast steps appended to the window (0: none)");
-    flags.addInt("deadline-ms", &deadline_ms,
-                 "per-stage deadline budget, simulated ms");
-    flags.addInt("max-retries", &max_retries,
-                 "extra attempts per degradation-ladder rung");
-    flags.addInt("seed", &seed,
-                 "run seed (backoff jitter, sampled attribution)");
     flags.addInt("incremental-window", &incremental_window,
                  "sliding-window periods for the incremental "
-                 "Shapley rung (0: classic exact-first ladder)");
+                 "Shapley engine (0: exact attribution)");
     flags.addString("out", &config.signalOutPath,
                     "signal output CSV path");
     flags.addString("bills-out", &config.billsOutPath,
@@ -490,11 +477,9 @@ runPipeline(int argc, char **argv)
                      "are required\n");
         return 2;
     }
-    if (deadline_ms <= 0 || max_retries < 0 || horizon_steps < 0 ||
-        seed < 0 || incremental_window < 0) {
+    if (horizon_steps < 0 || incremental_window < 0) {
         std::fprintf(stderr,
-                     "error: --deadline-ms must be positive; "
-                     "--max-retries, --horizon-steps, --seed, and "
+                     "error: --horizon-steps and "
                      "--incremental-window must be non-negative\n");
         return 2;
     }
@@ -509,12 +494,7 @@ runPipeline(int argc, char **argv)
     config.incrementalWindowPeriods =
         static_cast<std::size_t>(incremental_window);
     config.badRowPolicy = res.policy;
-    config.supervisor.stageDeadlineMs =
-        static_cast<std::uint64_t>(deadline_ms);
-    config.supervisor.maxRetries =
-        static_cast<std::uint32_t>(max_retries);
-    config.supervisor.seed = static_cast<std::uint64_t>(seed);
-    config.supervisor.faultPlan = res.plan;
+    config.faultPlan = res.plan;
 
     resilience::installShutdownHandler();
     const auto result = pipeline::runAttributionPipeline(config);
@@ -558,7 +538,6 @@ runServe(int argc, char **argv)
     std::int64_t seed = 42;
     std::string wal_dir;
     bool recover = false;
-    bool standby = false;
     bool wal_compress = false;
     std::int64_t wal_segment_records = 16;
     std::int64_t scrub_periods = 8;
@@ -603,10 +582,6 @@ runServe(int argc, char **argv)
     flags.addBool("recover", &recover,
                   "replay the existing log in --wal-dir before "
                   "serving new periods");
-    flags.addBool("standby", &standby,
-                  "run a hot-standby replica that replays sealed "
-                  "segments and takes over on the fault plan's "
-                  "primary-crash");
     flags.addBool("wal-compress", &wal_compress,
                   "lz-compress WAL record payloads (per record, "
                   "falls back to raw when not smaller)");
@@ -659,10 +634,10 @@ runServe(int argc, char **argv)
                      "--kill-at-tick must be >= -1\n");
         return 2;
     }
-    if (wal_dir.empty() && (recover || standby || kill_torn)) {
+    if (wal_dir.empty() && (recover || kill_torn)) {
         std::fprintf(stderr,
-                     "error: --recover, --standby, and --kill-torn "
-                     "require --wal-dir\n");
+                     "error: --recover and --kill-torn require "
+                     "--wal-dir\n");
         return 2;
     }
     requireWritableFlagPath("out", out_path);
@@ -696,7 +671,6 @@ runServe(int argc, char **argv)
     config.faultPlan = res.plan;
     config.durability.walDir = wal_dir;
     config.durability.recover = recover;
-    config.durability.standby = standby;
     config.durability.walCodec =
         wal_compress ? cache::Codec::Lz : cache::Codec::Identity;
     config.durability.walSegmentRecords =
@@ -773,21 +747,6 @@ runServe(int argc, char **argv)
             report.recovered ? " (recovered)" : "",
             static_cast<unsigned long long>(report.replayedRecords),
             static_cast<unsigned long long>(report.scrubRuns));
-        if (standby) {
-            std::string failover_note;
-            if (report.failedOver)
-                failover_note =
-                    " | failover at period " +
-                    std::to_string(report.failoverPeriod);
-            std::printf(
-                "serve: standby replayed %llu records, matched "
-                "%llu publishes%s\n",
-                static_cast<unsigned long long>(
-                    report.standbyReplayedRecords),
-                static_cast<unsigned long long>(
-                    report.standbyPublishChecks),
-                failover_note.c_str());
-        }
     }
     if (!out_path.empty())
         std::printf("serve: published signal -> %s\n",
@@ -812,8 +771,8 @@ usage()
         "  bill      usage CSV x intensity CSV -> per-consumer "
         "carbon\n"
         "  forecast  extend a demand CSV with a seasonal forecast\n"
-        "  run       supervised end-to-end pipeline with deadlines,\n"
-        "            retries, breakers, and a degradation ladder\n"
+        "  run       end-to-end pipeline: ingest, forecast, Shapley,\n"
+        "            billing, report\n"
         "  serve     sharded multi-tenant live-signal server\n"
         "            (deterministic simulation; bit-identical for\n"
         "            any --shards/--threads at the same seed)\n"
