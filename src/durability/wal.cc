@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <system_error>
 
 #include "cache/compr_api.hh"
@@ -193,109 +195,199 @@ frameBytes(const WalTickRecord &record, cache::Codec codec,
     return frame;
 }
 
-/** Outcome of parsing one segment's record region. */
-struct SegmentParse
+/** Read @p n bytes at @p offset of @p in into @p out, or throw: a
+ *  segment that shrinks under the reader must surface as damage,
+ *  never as zero-filled bytes that could parse. */
+void
+readAt(std::ifstream &in, std::size_t offset, std::uint8_t *out,
+       std::size_t n, const std::string &path)
 {
-    std::vector<WalTickRecord> records;
-    /** Set when the record region ended early (torn frame); names
-     *  the damage for the tail-drop diagnostic. */
-    std::string damage;
-    std::size_t damageOffset = 0;
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(reinterpret_cast<char *>(out),
+            static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in.gcount()) != n)
+        throw WalIntegrityError(
+            "short read of wal segment '" + path + "': got " +
+            std::to_string(in.gcount()) + " of " + std::to_string(n) +
+            " bytes at offset " + std::to_string(offset));
+}
+
+/** A frame's header fields; size 0 means the frame cannot be
+ *  whole. */
+struct FrameHead
+{
+    std::uint32_t rawSize = 0;
+    std::uint32_t storedSize = 0;
+    std::uint8_t codec = 0;
+    std::size_t size = 0; //!< header + payload + checksum
 };
 
-/**
- * Parse records from @p bytes starting after the header. Stops at
- * the first damaged frame and reports it; the caller decides whether
- * that is an error (sealed) or a drop point (tail).
- */
-SegmentParse
-parseRecords(const std::vector<std::uint8_t> &bytes,
-             std::uint64_t first_record)
+/** Parse the frame header at @p head, @p available bytes before the
+ *  end of the segment; on damage, size is 0 and @p why names it. */
+FrameHead
+frameHead(const std::uint8_t *head, std::size_t available,
+          std::string &why)
 {
-    SegmentParse out;
-    std::size_t pos = kHeaderBytes;
-    while (pos < bytes.size()) {
-        const std::size_t frame_start = pos;
-        const auto damaged = [&](const std::string &why) {
-            out.damage = "record " +
-                std::to_string(first_record + out.records.size()) +
-                " at offset " + std::to_string(frame_start) + ": " +
-                why;
-            out.damageOffset = frame_start;
-        };
-        if (bytes.size() - pos < kFrameHeaderBytes) {
-            damaged("truncated frame header");
-            return out;
-        }
-        ByteReader head{bytes.data(), bytes.size(), pos};
-        const std::uint32_t raw_size = head.u32();
-        const std::uint32_t stored_size = head.u32();
-        const std::uint8_t codec_id = head.u8();
-        if (raw_size > kMaxRecordBytes ||
-            stored_size > kMaxRecordBytes) {
-            damaged("implausible frame size");
-            return out;
-        }
-        if (codec_id > static_cast<std::uint8_t>(cache::Codec::Lz)) {
-            damaged("unknown codec id " + std::to_string(codec_id));
-            return out;
-        }
-        const std::size_t frame_size =
-            kFrameHeaderBytes + stored_size + 8;
-        if (bytes.size() - frame_start < frame_size) {
-            damaged("truncated frame payload");
-            return out;
-        }
-        const std::uint64_t want = fnv1a64(
-            bytes.data() + frame_start, frame_size - 8);
-        ByteReader sum{bytes.data(), bytes.size(),
-                       frame_start + frame_size - 8};
-        if (sum.u64() != want) {
-            damaged("checksum mismatch");
-            return out;
-        }
-        std::vector<std::uint8_t> raw;
-        try {
-            raw = decodeBlob(static_cast<cache::Codec>(codec_id),
-                             bytes.data() + frame_start +
-                                 kFrameHeaderBytes,
-                             stored_size, raw_size);
-            out.records.push_back(decodeRecord(raw));
-        } catch (const std::exception &error) {
-            // Checksummed-but-undecodable means real corruption that
-            // happened before the checksum was computed — surface it
-            // the same way so it is never replayed as data.
-            damaged(std::string("undecodable payload: ") +
-                    error.what());
-            return out;
-        }
-        pos = frame_start + frame_size;
+    FrameHead out;
+    if (available < kFrameHeaderBytes) {
+        why = "truncated frame header";
+        return out;
     }
+    ByteReader in{head, kFrameHeaderBytes};
+    out.rawSize = in.u32();
+    out.storedSize = in.u32();
+    out.codec = in.u8();
+    if (out.rawSize > kMaxRecordBytes ||
+        out.storedSize > kMaxRecordBytes) {
+        why = "implausible frame size";
+        return out;
+    }
+    const std::size_t size = kFrameHeaderBytes + out.storedSize + 8;
+    if (available < size) {
+        why = "truncated frame payload";
+        return out;
+    }
+    out.size = size;
     return out;
 }
 
-std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
+/** One segment as read from disk. */
+struct SegmentRead
+{
+    std::uint64_t first = 0;  //!< the header's first record index
+    std::uint64_t frames = 0; //!< whole frames stepped over or decoded
+    /** The decoded frames: records `first + frames - records.size()`
+     *  on. */
+    std::vector<WalTickRecord> records;
+    /** Set when the frames end early (a torn or damaged frame, or a
+     *  file shorter than its header); names the damage. */
+    std::string damage;
+};
+
+/** Validate a segment header; throws naming the defect. */
+std::uint64_t
+checkHeader(const std::vector<std::uint8_t> &bytes,
+            const std::string &path, std::uint64_t config_hash)
+{
+    if (bytes.size() < kHeaderBytes)
+        throw WalIntegrityError("wal segment '" + path +
+                                "' is shorter than its header");
+    if (std::memcmp(bytes.data(), kMagic, 4) != 0)
+        throw WalIntegrityError("wal segment '" + path +
+                                "' has bad magic");
+    ByteReader in{bytes.data(), bytes.size(), 4};
+    const std::uint32_t version = in.u32();
+    if (version != kWalVersion)
+        throw WalIntegrityError(
+            "wal segment '" + path + "' has version " +
+            std::to_string(version) + ", expected " +
+            std::to_string(kWalVersion));
+    const std::uint64_t hash = in.u64();
+    if (hash != config_hash)
+        throw WalIntegrityError(
+            "wal segment '" + path +
+            "' was written by a different server configuration "
+            "(config hash mismatch)");
+    return in.u64(); // first record index
+}
+
+/** The first record index in the checked header of the segment at
+ *  @p path; nullopt when the file is shorter than a header. */
+std::optional<std::uint64_t>
+headerFirstRecord(const std::string &path, std::uint64_t config_hash)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        throw WalIntegrityError("cannot open wal segment '" + path +
+                                "'");
+    std::vector<std::uint8_t> header(kHeaderBytes);
+    in.read(reinterpret_cast<char *>(header.data()), kHeaderBytes);
+    if (static_cast<std::size_t>(in.gcount()) < kHeaderBytes)
+        return std::nullopt;
+    return checkHeader(header, path, config_hash);
+}
+
+/**
+ * Read the segment at @p path: check its header, step over the
+ * frames before record @p from by their length fields alone, then
+ * checksum and decode the rest. Stops at the first damaged frame and
+ * reports it; the caller decides whether that is an error (sealed)
+ * or a drop point (tail). Returns false, having read nothing, when
+ * the file is shorter than a header.
+ */
+bool
+readSegment(const std::string &path, std::uint64_t config_hash,
+            std::uint64_t from, SegmentRead &out)
 {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         throw WalIntegrityError("cannot open wal segment '" + path +
                                 "'");
-    const std::streamoff size = in.tellg();
-    if (size < 0)
+    const std::streamoff end = in.tellg();
+    if (end < 0)
         throw WalIntegrityError("cannot size wal segment '" + path +
                                 "'");
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    in.seekg(0);
-    in.read(reinterpret_cast<char *>(bytes.data()), size);
-    // A segment that shrinks under the reader must surface as damage,
-    // never as zero-filled bytes that could parse.
-    if (in.gcount() != size)
-        throw WalIntegrityError(
-            "short read of wal segment '" + path + "': got " +
-            std::to_string(in.gcount()) + " of " +
-            std::to_string(size) + " bytes");
-    return bytes;
+    const std::size_t size = static_cast<std::size_t>(end);
+    if (size < kHeaderBytes) {
+        out.damage = std::to_string(size) +
+            " bytes, shorter than its header";
+        return false;
+    }
+    std::vector<std::uint8_t> bytes(kHeaderBytes);
+    readAt(in, 0, bytes.data(), kHeaderBytes, path);
+    out.first = checkHeader(bytes, path, config_hash);
+
+    std::string why;
+    const auto damaged = [&](std::size_t offset) {
+        out.damage = "record " + std::to_string(out.first + out.frames) +
+            " at offset " + std::to_string(offset) + ": " + why;
+        return true;
+    };
+    // The frames before `from`: only their length fields are read.
+    std::size_t pos = kHeaderBytes;
+    std::uint8_t head[kFrameHeaderBytes];
+    while (out.first + out.frames < from && pos < size) {
+        readAt(in, pos, head, std::min(kFrameHeaderBytes, size - pos),
+               path);
+        const FrameHead frame = frameHead(head, size - pos, why);
+        if (frame.size == 0)
+            return damaged(pos);
+        pos += frame.size;
+        ++out.frames;
+    }
+
+    bytes.resize(size - pos);
+    readAt(in, pos, bytes.data(), bytes.size(), path);
+    for (std::size_t at = 0; at < bytes.size();) {
+        const std::uint8_t *data = bytes.data() + at;
+        const FrameHead frame = frameHead(data, bytes.size() - at, why);
+        if (frame.size == 0)
+            return damaged(pos + at);
+        if (frame.codec > static_cast<std::uint8_t>(cache::Codec::Lz)) {
+            why = "unknown codec id " + std::to_string(frame.codec);
+            return damaged(pos + at);
+        }
+        ByteReader sum{data, frame.size, frame.size - 8};
+        if (sum.u64() != fnv1a64(data, frame.size - 8)) {
+            why = "checksum mismatch";
+            return damaged(pos + at);
+        }
+        try {
+            out.records.push_back(decodeRecord(decodeBlob(
+                static_cast<cache::Codec>(frame.codec),
+                data + kFrameHeaderBytes, frame.storedSize,
+                frame.rawSize)));
+        } catch (const std::exception &error) {
+            // Checksummed-but-undecodable means real corruption that
+            // happened before the checksum was computed — surface it
+            // the same way so it is never replayed as data.
+            why = std::string("undecodable payload: ") + error.what();
+            return damaged(pos + at);
+        }
+        at += frame.size;
+        ++out.frames;
+    }
+    return true;
 }
 
 /** Throw naming @p path and errno unless the stdio call @p what
@@ -325,33 +417,6 @@ writeAll(std::FILE *file, const std::vector<std::uint8_t> &bytes,
 {
     requireIo(std::fwrite(bytes.data(), 1, n, file) == n, "write",
               path);
-}
-
-/** Validate a segment header; throws naming the defect. */
-std::uint64_t
-checkHeader(const std::vector<std::uint8_t> &bytes,
-            const std::string &path, std::uint64_t config_hash)
-{
-    if (bytes.size() < kHeaderBytes)
-        throw WalIntegrityError("wal segment '" + path +
-                                "' is shorter than its header");
-    if (std::memcmp(bytes.data(), kMagic, 4) != 0)
-        throw WalIntegrityError("wal segment '" + path +
-                                "' has bad magic");
-    ByteReader in{bytes.data(), bytes.size(), 4};
-    const std::uint32_t version = in.u32();
-    if (version != kWalVersion)
-        throw WalIntegrityError(
-            "wal segment '" + path + "' has version " +
-            std::to_string(version) + ", expected " +
-            std::to_string(kWalVersion));
-    const std::uint64_t hash = in.u64();
-    if (hash != config_hash)
-        throw WalIntegrityError(
-            "wal segment '" + path +
-            "' was written by a different server configuration "
-            "(config hash mismatch)");
-    return in.u64(); // first record index
 }
 
 } // namespace
@@ -460,7 +525,8 @@ walDirError(const std::string &dir)
 }
 
 WalLoadResult
-loadWal(const std::string &dir, std::uint64_t config_hash)
+loadWal(const std::string &dir, std::uint64_t config_hash,
+        std::uint64_t from_record)
 {
     FAIRCO2_COUNT("durability.wal.loads", 1);
     if (!fs::is_directory(dir))
@@ -477,16 +543,29 @@ loadWal(const std::string &dir, std::uint64_t config_hash)
         if (dot == std::string::npos)
             continue;
         const std::string suffix = name.substr(dot + 1);
-        std::uint64_t index = 0;
-        try {
-            index = std::stoull(name.substr(4, dot - 4));
-        } catch (const std::exception &) {
+        if (suffix != "seg" && suffix != "open")
             continue;
-        }
-        if (suffix == "seg")
-            sealed[index] = entry.path().string();
-        else if (suffix == "open")
-            open[index] = entry.path().string();
+        // The whole index must be digits: a stray copy such as
+        // "wal-000001 (copy).seg" must not shadow segment 1.
+        const char *digits = name.data() + 4;
+        const char *digits_end = name.data() + dot;
+        std::uint64_t index = 0;
+        const auto [parsed, error] =
+            std::from_chars(digits, digits_end, index);
+        if (digits == digits_end || error != std::errc() ||
+            parsed != digits_end)
+            throw WalIntegrityError(
+                "wal directory '" + dir + "' holds '" + name +
+                "', whose segment index is not a number");
+        auto &segments = suffix == "seg" ? sealed : open;
+        const auto [slot, fresh] =
+            segments.emplace(index, entry.path().string());
+        if (!fresh)
+            throw WalIntegrityError(
+                "wal directory '" + dir + "' holds two segments "
+                "with index " + std::to_string(index) + ": '" +
+                slot->second + "' and '" + entry.path().string() +
+                "'");
     }
     if (open.size() > 1)
         throw WalIntegrityError(
@@ -496,71 +575,86 @@ loadWal(const std::string &dir, std::uint64_t config_hash)
 
     WalLoadResult result;
     std::uint64_t expect_index = 1;
-    for (const auto &[index, path] : sealed) {
-        if (index != expect_index)
+    for (const auto &entry : sealed) {
+        if (entry.first != expect_index)
             throw WalIntegrityError(
                 "wal directory '" + dir + "' skips from segment " +
                 std::to_string(expect_index - 1) + " to " +
-                std::to_string(index) + " (missing sealed segment)");
-        const auto bytes = readFileBytes(path);
-        const std::uint64_t first =
-            checkHeader(bytes, path, config_hash);
-        if (first != result.records.size())
-            throw WalIntegrityError(
-                "wal segment '" + path + "' starts at record " +
-                std::to_string(first) + ", expected " +
-                std::to_string(result.records.size()));
-        SegmentParse parse = parseRecords(bytes, first);
-        if (!parse.damage.empty())
-            throw WalIntegrityError("sealed wal segment '" + path +
-                                    "' is damaged: " + parse.damage);
-        if (parse.records.empty())
-            throw WalIntegrityError("sealed wal segment '" + path +
-                                    "' holds no records");
-        for (auto &record : parse.records)
-            result.records.push_back(std::move(record));
-        ++result.sealedSegments;
+                std::to_string(entry.first) +
+                " (missing sealed segment)");
         ++expect_index;
     }
-
+    result.sealedSegments = sealed.size();
     result.nextSegmentIndex = expect_index;
-    if (!open.empty()) {
-        const auto &[index, path] = *open.begin();
-        if (index != expect_index)
-            throw WalIntegrityError(
-                "wal tail segment '" + path + "' has index " +
-                std::to_string(index) + ", expected " +
-                std::to_string(expect_index));
-        const auto bytes = readFileBytes(path);
-        // A kill before the tail's first flush leaves fewer bytes
-        // than a header: a torn tail with no records, not damage.
-        if (bytes.size() < kHeaderBytes) {
-            result.droppedTail = true;
-            result.tailDiagnostic = "dropped torn wal tail of '" +
-                path + "': " + std::to_string(bytes.size()) +
-                " bytes, shorter than its header";
-            return result;
+    if (!open.empty() && open.begin()->first != expect_index)
+        throw WalIntegrityError(
+            "wal tail segment '" + open.begin()->second +
+            "' has index " + std::to_string(open.begin()->first) +
+            ", expected " + std::to_string(expect_index));
+
+    // The log in order: sealed segments, then the tail. Headers are
+    // read newest first down to the segment holding from_record; the
+    // segments older than it are never opened.
+    std::vector<std::pair<std::uint64_t, std::string>> log(
+        sealed.begin(), sealed.end());
+    log.insert(log.end(), open.begin(), open.end());
+    std::size_t start = log.size();
+    while (start > 0) {
+        --start;
+        const std::optional<std::uint64_t> first =
+            headerFirstRecord(log[start].second, config_hash);
+        if (first && *first <= from_record)
+            break;
+    }
+
+    // Then read them oldest first, each one chaining into the next.
+    std::uint64_t end = 0; // one past the last record read
+    for (std::size_t i = start; i < log.size(); ++i) {
+        const auto &[index, path] = log[i];
+        const bool tail = !open.empty() && i + 1 == log.size();
+        SegmentRead segment;
+        const bool whole =
+            readSegment(path, config_hash, from_record, segment);
+        if (tail) {
+            // The tail is the only place damage is survivable: keep
+            // the valid prefix, drop the torn suffix, and say so. A
+            // kill before its first flush leaves fewer bytes than a
+            // header: a torn tail with no records, not damage.
+            if (!segment.damage.empty()) {
+                result.droppedTail = true;
+                result.tailDiagnostic = "dropped torn wal tail of '" +
+                    path + (whole ? "' from " : "': ") + segment.damage;
+            }
+            if (!whole)
+                break;
+            result.tailRecords = segment.records.size();
+        } else {
+            if (!whole)
+                throw WalIntegrityError("wal segment '" + path +
+                                        "' is shorter than its header");
+            if (!segment.damage.empty())
+                throw WalIntegrityError("sealed wal segment '" + path +
+                                        "' is damaged: " +
+                                        segment.damage);
+            if (segment.frames == 0)
+                throw WalIntegrityError("sealed wal segment '" + path +
+                                        "' holds no records");
         }
-        const std::uint64_t first =
-            checkHeader(bytes, path, config_hash);
-        if (first != result.records.size())
+        if ((i > start || index == 1) && segment.first != end)
             throw WalIntegrityError(
-                "wal tail segment '" + path +
-                "' starts at record " + std::to_string(first) +
-                ", expected " +
-                std::to_string(result.records.size()));
-        SegmentParse parse = parseRecords(bytes, first);
-        // The tail is the only place damage is survivable: keep the
-        // valid prefix, drop the torn suffix, and say so.
-        if (!parse.damage.empty()) {
-            result.droppedTail = true;
-            result.tailDiagnostic = "dropped torn wal tail of '" +
-                path + "' from " + parse.damage;
-        }
-        result.tailRecords = parse.records.size();
-        for (auto &record : parse.records)
+                "wal segment '" + path + "' starts at record " +
+                std::to_string(segment.first) + ", expected " +
+                std::to_string(end));
+        end = segment.first + segment.frames;
+        for (WalTickRecord &record : segment.records)
             result.records.push_back(std::move(record));
     }
+    if (from_record > end)
+        throw WalIntegrityError(
+            "wal directory '" + dir + "' holds " + std::to_string(end) +
+            " records; cannot load from record " +
+            std::to_string(from_record));
+    FAIRCO2_COUNT("durability.wal.frames_read", result.records.size());
     return result;
 }
 
@@ -688,6 +782,40 @@ WalWriter::adoptTail(const std::vector<WalTickRecord> &records)
         seal();
 }
 
+void
+ScrubLog::extend(std::uint64_t end, std::span<WalTickRecord> recovered)
+{
+    for (; next_ < std::min<std::uint64_t>(end, recovered.size());
+         ++next_)
+        records_.push_back(std::move(recovered[next_]));
+    if (next_ >= end)
+        return;
+    WalLoadResult load = loadWal(dir_, configHash_, next_);
+    if (load.droppedTail)
+        throw WalIntegrityError(
+            "scrub found damage in committed wal frames (" +
+            load.tailDiagnostic + ")");
+    if (load.records.size() < end - next_)
+        throw WalIntegrityError(
+            "wal directory '" + dir_ + "' holds " +
+            std::to_string(next_ + load.records.size()) +
+            " records; the scrub expected " + std::to_string(end));
+    for (std::uint64_t i = 0; i < end - next_; ++i)
+        records_.push_back(std::move(load.records[i]));
+    next_ = end;
+}
+
+void
+ScrubLog::dropThrough(std::uint64_t first_period)
+{
+    records_.erase(records_.begin(),
+                   std::partition_point(
+                       records_.begin(), records_.end(),
+                       [first_period](const WalTickRecord &record) {
+                           return record.period <= first_period;
+                       }));
+}
+
 std::uint64_t
 windowSumDigest(std::uint64_t closed_periods,
                 const std::vector<std::uint64_t> &sums)
@@ -734,44 +862,60 @@ deriveWindowDigests(
 
     // Accumulate per-period unit sums for the in-window closed
     // periods only — the exact quantities the live replicas keep in
-    // their windowUnitSums deques. One chunk per shard: each chunk
-    // scans the reaching records and sums only its own shard's
-    // batches, so the writes are disjoint and every slot sees its
-    // batches in log order whatever the thread count.
-    std::vector<std::vector<std::uint64_t>> shard_sums(
-        shards, std::vector<std::uint64_t>(window.periods, 0));
-    parallel::parallelFor(0, shards, 1, [&](std::size_t lo,
-                                            std::size_t hi) {
-        for (const WalTickRecord &record : reaching) {
-            for (const WalBatch &batch : record.admitted) {
-                const std::size_t s = batch.tenant % shards;
-                if (s < lo || s >= hi)
-                    continue;
-                for (std::uint32_t p = 0; p < batch.coveredPeriods;
-                     ++p) {
-                    const std::uint64_t covered =
-                        batch.period - batch.coveredPeriods + p;
-                    if (covered < window.first ||
-                        covered >= window.first + window.periods)
-                        continue;
-                    shard_sums[s][covered - window.first] +=
-                        unitsOf(batch.tenant, covered);
+    // their windowUnitSums deques — in one pass over the reaching
+    // batches: one chunk per record, each summing into its own
+    // (shard, period) partials. The sums are integers, so folding the
+    // partials gives the same digests for any chunking and any
+    // thread count. A batch covers [period - coveredPeriods, period).
+    const std::uint64_t window_end = window.first + window.periods;
+    const std::size_t slots = shards * window.periods;
+    const std::vector<std::uint64_t> sums = parallel::parallelMapReduce(
+        0, window.periods == 0 ? 0 : reaching.size(), 1,
+        std::vector<std::uint64_t>(slots, 0),
+        [&](std::size_t lo, std::size_t hi) {
+            std::vector<std::uint64_t> partial(slots, 0);
+            [[maybe_unused]] std::uint64_t pairs = 0;
+            for (std::size_t r = lo; r < hi; ++r) {
+                for (const WalBatch &batch : reaching[r].admitted) {
+                    const std::size_t slot =
+                        (batch.tenant % shards) * window.periods;
+                    for (std::uint32_t p = 0; p < batch.coveredPeriods;
+                         ++p) {
+                        const std::uint64_t covered =
+                            batch.period - batch.coveredPeriods + p;
+                        if (covered < window.first ||
+                            covered >= window_end)
+                            continue;
+                        partial[slot + (covered - window.first)] +=
+                            unitsOf(batch.tenant, covered);
+                        ++pairs;
+                    }
                 }
             }
-        }
-    });
+            FAIRCO2_COUNT("durability.scrub.pairs_derived", pairs);
+            return partial;
+        },
+        [](std::vector<std::uint64_t> &total,
+           const std::vector<std::uint64_t> &partial) {
+            for (std::size_t i = 0; i < total.size(); ++i)
+                total[i] += partial[i];
+        });
 
     // The fleet slots are the integer sum over shards — associative,
     // so the same for any shard count and any thread count.
     std::vector<std::uint64_t> fleet(window.periods, 0);
-    for (const std::vector<std::uint64_t> &sums : shard_sums)
-        for (std::size_t i = 0; i < sums.size(); ++i)
-            fleet[i] += sums[i];
     WindowDigests out;
-    out.fleet = windowSumDigest(window.closed, fleet);
     out.shard.reserve(shards);
-    for (const std::vector<std::uint64_t> &sums : shard_sums)
-        out.shard.push_back(windowSumDigest(window.closed, sums));
+    for (std::size_t s = 0; s < shards; ++s) {
+        const auto first =
+            sums.begin() + static_cast<std::ptrdiff_t>(s * window.periods);
+        const std::vector<std::uint64_t> shard(
+            first, first + static_cast<std::ptrdiff_t>(window.periods));
+        for (std::size_t i = 0; i < shard.size(); ++i)
+            fleet[i] += shard[i];
+        out.shard.push_back(windowSumDigest(window.closed, shard));
+    }
+    out.fleet = windowSumDigest(window.closed, fleet);
     return out;
 }
 

@@ -45,7 +45,10 @@
  * the tail's first flush leaves it shorter than its header; that is
  * the same torn tail, holding no records. Either way a flipped byte
  * surfaces as an error or a dropped suffix — never as a wrong
- * replayed value.
+ * replayed value. A windowed load (loadWal's `from_record`) applies
+ * the same rules to the frames it returns and leaves the earlier
+ * ones unchecked; the live scrub (ScrubLog) treats even a torn tail
+ * as damage, because its own process committed those frames.
  *
  * The writer checks every stdio call: a failed write, flush, or
  * close (a full disk) throws WalIntegrityError naming the segment,
@@ -60,6 +63,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/compr_api.hh"
@@ -140,9 +144,10 @@ WalTickRecord decodeRecord(const std::vector<std::uint8_t> &bytes);
 /** What loading a WAL directory produced. */
 struct WalLoadResult
 {
+    /** Records from_record, from_record + 1, ... in log order. */
     std::vector<WalTickRecord> records;
-    std::uint64_t sealedSegments = 0;
-    std::uint64_t tailRecords = 0;  //!< valid records in the .open tail
+    std::uint64_t sealedSegments = 0; //!< sealed segments in the log
+    std::uint64_t tailRecords = 0;  //!< `records` from the .open tail
     bool droppedTail = false;       //!< torn/corrupt tail suffix dropped
     std::string tailDiagnostic;     //!< names the segment + record
     /** Index the next segment should use (the tail's index when a
@@ -151,14 +156,32 @@ struct WalLoadResult
 };
 
 /**
- * Load every record from @p dir: sealed segments in index order,
- * then the `.open` tail. Sealed-segment damage throws
- * WalIntegrityError; tail damage truncates at the first bad record
- * and reports the drop in the result. An empty directory returns
- * zero records. Each call bumps the `durability.wal.loads` counter.
+ * Load the records from index @p from_record on from @p dir: sealed
+ * segments in index order, then the `.open` tail. The default loads
+ * the whole log.
+ *
+ * Segment headers are read newest first, down to the first segment
+ * that starts at or before @p from_record; older segments are not
+ * opened. Inside that segment the earlier frames are stepped over by
+ * their length fields, never checksummed or decoded, so a load reads
+ * from disk little more than the frames it returns. Every segment
+ * read is checked: magic, version, config hash, and that its first
+ * record follows the previous segment's last. Segment names are
+ * checked for the whole directory: indices must run 1, 2, ... with
+ * at most one `.open` tail after them, and a `wal-` name ending in
+ * `.seg` or `.open` whose index is not all digits throws naming the
+ * file (other suffixes, such as a `.open.tmp` rewrite, are skipped).
+ *
+ * Damage in a returned sealed frame throws WalIntegrityError; tail
+ * damage truncates at the first bad record and reports the drop in
+ * the result (droppedTail, tailDiagnostic). @p from_record past the
+ * end of the log throws. An empty directory returns zero records.
+ * Each call bumps the `durability.wal.loads` counter, and
+ * `durability.wal.frames_read` by the frames it decoded.
  */
 WalLoadResult loadWal(const std::string &dir,
-                      std::uint64_t config_hash);
+                      std::uint64_t config_hash,
+                      std::uint64_t from_record = 0);
 
 /** Path of segment @p index inside @p dir ("wal-%06llu" + suffix). */
 std::string segmentPath(const std::string &dir, std::uint64_t index,
@@ -242,6 +265,45 @@ class WalWriter
     std::uint64_t storedBytes_ = 0;
 };
 
+/**
+ * The records a live anti-entropy scrub derives from: the logged
+ * ticks that can still reach a scrub window, in log order, each read
+ * from disk once. extend() reads only the frames committed since the
+ * previous call, so a scrub's disk reads are O(new frames), never
+ * O(log); dropThrough() keeps the list bounded by the window.
+ */
+class ScrubLog
+{
+  public:
+    ScrubLog(std::string dir, std::uint64_t config_hash)
+        : dir_(std::move(dir)), configHash_(config_hash)
+    {
+    }
+
+    /**
+     * Extend the list through record @p end - 1. Records below
+     * `recovered.size()` were loaded and checksummed by recovery: they
+     * are moved out of @p recovered, which must be done with them. The
+     * rest are read with loadWal(dir, hash, next). Throws
+     * WalIntegrityError naming the segment when a frame it reads is
+     * damaged — a torn tail included, since the caller's own writer
+     * committed every frame it asks for — or when the log ends early.
+     */
+    void extend(std::uint64_t end, std::span<WalTickRecord> recovered);
+
+    /** Drop the records with period <= @p first_period: they reach
+     *  no window that starts there or later. */
+    void dropThrough(std::uint64_t first_period);
+
+    std::span<const WalTickRecord> records() const { return records_; }
+
+  private:
+    std::string dir_;
+    std::uint64_t configHash_ = 0;
+    std::vector<WalTickRecord> records_;
+    std::uint64_t next_ = 0; //!< index of the next record to take
+};
+
 /** Anti-entropy scrub digests: FNV-1a over the in-window per-period
  *  unit sums (fleet and per shard) plus the closed-period count. */
 struct WindowDigests
@@ -287,11 +349,14 @@ ScrubWindow scrubWindow(std::span<const WalTickRecord> records,
  * at), so the records up to the window's first period cannot reach
  * it: the scan starts at the first record past them.
  *
- * The derivation runs one parallel::parallelFor chunk per shard, so
- * @p unitsOf is called concurrently for tenants of *different*
- * shards: it must be safe to call from several threads at once (a
- * pure function over read-only state). The digests do not depend on
- * the thread count.
+ * The derivation scans each reaching batch once: one
+ * parallel::parallelMapReduce chunk per record sums into its own
+ * (shard, period) partials, folded afterwards. @p unitsOf is
+ * therefore called concurrently: it must be safe to call from
+ * several threads at once (a pure function over read-only state).
+ * The sums are integers, so the digests do not depend on the thread
+ * count. Each call bumps `durability.scrub.pairs_derived` by the
+ * (tenant, period) pairs it re-materialized.
  */
 WindowDigests deriveWindowDigests(
     std::span<const WalTickRecord> records, std::size_t shards,

@@ -30,6 +30,7 @@ ingest(const PipelineConfig &config, PipelineResult &result,
         // repair machinery, like loadSeriesColumn does.
         std::vector<double> values = config.demandSeries.values();
         resilience::injectTelemetryFaults(values, config.faultPlan);
+        resilience::injectBoundaryNans(values, config.faultPlan);
         resilience::repairNonFinite(values, config.badRowPolicy,
                                     "pipeline demand telemetry",
                                     &result.ingest);

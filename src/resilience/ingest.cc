@@ -303,8 +303,19 @@ loadSeriesColumn(const std::string &path, const std::string &column,
                  const FaultPlan *plan, IngestReport *report)
 {
     const auto table = readCsv(path);
-    auto values = numericColumnWithPolicy(
-        table, column, policy, plan, report, path + ":" + column);
+    const std::string where = path + ":" + column;
+    IngestReport local;
+    IngestReport &rep = report ? *report : local;
+    auto values = numericColumnWithPolicy(table, column, policy, plan,
+                                          &rep, where);
+    // NaNs injected at the module boundary meet the same bad-row
+    // policy as defective rows. They are defects of rows already
+    // counted above, so the repair pass must not count the rows again.
+    if (plan != nullptr && injectBoundaryNans(values, *plan) > 0) {
+        const std::size_t rows = rep.rowsTotal;
+        repairNonFinite(values, policy, where, &rep);
+        rep.rowsTotal = rows;
+    }
     return trace::TimeSeries(std::move(values), step_seconds);
 }
 

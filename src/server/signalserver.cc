@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -118,6 +117,8 @@ SignalServer::setupDurability()
                     "directory");
     }
     wal_ = std::make_unique<durability::WalWriter>(wo);
+    scrubLog_ =
+        std::make_unique<durability::ScrubLog>(dur.walDir, configHash_);
     if (!tail.empty())
         wal_->adoptTail(tail);
 }
@@ -231,37 +232,37 @@ SignalServer::handleClose(std::uint64_t period)
 void
 SignalServer::runScrub(std::uint64_t period)
 {
-    // Anti-entropy: re-derive the window digests purely from the log
-    // on disk and compare them to the serving replica's live state.
-    // Only ticks up to this period have been applied. While recovery
-    // still covers them, they are a prefix of the records that
-    // setupDurability() loaded and checksummed from disk, so the log
-    // is not read again.
-    std::vector<durability::WalTickRecord> loaded;
-    std::span<const durability::WalTickRecord> records;
-    if (period < replay_.size()) {
-        records = std::span(replay_).first(period + 1);
-    } else {
-        loaded = durability::loadWal(config_.durability.walDir,
-                                     configHash_)
-                     .records;
-        if (loaded.size() > period + 1)
-            loaded.resize(period + 1);
-        records = loaded;
+    // Anti-entropy: re-derive the window digests purely from records
+    // read from the log on disk and compare them to the serving
+    // replica's live state. Ticks 0..period are applied and logged by
+    // now, one record per arrival tick. The ones recovery loaded are
+    // moved over from replay_ (replay is past them); the rest are read
+    // from disk, each frame once, by the first scrub after its commit.
+    {
+        FAIRCO2_SPAN("durability.scrub.load");
+        scrubLog_->extend(period + 1, replay_);
     }
+    const durability::ScrubWindow window = durability::scrubWindow(
+        scrubLog_->records(), config_.windowPeriods, watermark_);
+    // Records up to the window's first period reach neither this
+    // window nor a later one (see deriveWindowDigests), so the list
+    // keeps at most windowPeriods + maxBatchPeriods records.
+    scrubLog_->dropThrough(window.first);
+
     // Re-materialize every in-window unit from the tenant population
     // — never from the live replica's accumulators, which are what
     // the scrub checks. The carriers are computed once per period up
     // front so the shard-parallel derivation only reads them.
-    const durability::ScrubWindow window = durability::scrubWindow(
-        records, config_.windowPeriods, watermark_);
-    std::vector<std::vector<double>> carriers;
-    carriers.reserve(window.periods);
-    for (std::uint64_t i = 0; i < window.periods; ++i)
-        carriers.push_back(population_.diurnalCarrier(window.first + i));
-    const durability::WindowDigests derived =
-        durability::deriveWindowDigests(
-            records, config_.shards, config_.windowPeriods,
+    durability::WindowDigests derived;
+    {
+        FAIRCO2_SPAN("durability.scrub.derive");
+        std::vector<std::vector<double>> carriers;
+        carriers.reserve(window.periods);
+        for (std::uint64_t i = 0; i < window.periods; ++i)
+            carriers.push_back(
+                population_.diurnalCarrier(window.first + i));
+        derived = durability::deriveWindowDigests(
+            scrubLog_->records(), config_.shards, config_.windowPeriods,
             watermark_,
             [this, &window, &carriers](std::uint64_t tenant,
                                        std::uint64_t p) {
@@ -272,6 +273,7 @@ SignalServer::runScrub(std::uint64_t period)
                 return population_.accumulatePeriod(
                     tenant, p, carriers[p - window.first], scratch);
             });
+    }
     const durability::WindowDigests live = replica_->windowDigests();
     ++report_.scrubRuns;
     FAIRCO2_COUNT("durability.scrub.runs", 1);
@@ -314,6 +316,10 @@ SignalServer::run()
              p += scrub_every)
             loop_.at(2 * p + 1, [this, p] { runScrub(p); });
     loop_.run();
+    // The scrub's records are only needed while the loop runs; a
+    // server kept after run() (to read its snapshot) must not hold
+    // them.
+    scrubLog_.reset();
 
     // Clean finish (not a simulated crash): seal the tail so the log
     // is all-sealed.

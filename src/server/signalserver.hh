@@ -61,7 +61,9 @@
  * the first bad checksum with a named diagnostic; damage to sealed
  * history is always an error. A periodic anti-entropy scrub
  * re-derives the window digests from the log and compares them to the
- * live replica's.
+ * live replica's. It reads each frame from disk once, at the first
+ * scrub after its commit, and keeps only the records that can still
+ * reach a later window (see DESIGN.md, "Anti-entropy scrub").
  *
  * ## Degradation
  *
@@ -207,9 +209,12 @@ class SignalServer
     std::unique_ptr<Replica> replica_;
     std::unique_ptr<durability::WalWriter> wal_;
     std::uint64_t configHash_ = 0;
-    /** Recovery: logged ticks to re-drive before live serving. */
+    /** Recovery: logged ticks to re-drive before live serving. Ticks
+     *  already re-driven may be moved out to the scrub log. */
     std::vector<durability::WalTickRecord> replay_;
     std::size_t replayNext_ = 0;
+    /** The logged ticks a future scrub can still reach. */
+    std::unique_ptr<durability::ScrubLog> scrubLog_;
     bool halted_ = false;  //!< haltAtTick stopped the loop abruptly
     std::uint64_t watermark_ = 0;
     parallel::SnapshotCell<ServerSnapshot> cell_;

@@ -4,9 +4,11 @@
  * (halt at any tick, recover, byte-identical published signal), the
  * recovery edge cases (empty log, only-sealed vs sealed + unsealed
  * tail, a recovered run crashing again), replay cross-check
- * divergence, the anti-entropy scrub, shard-independent replay, and
- * the SIGTERM drain path. Process-kill (`kill -9`) variants of the same contracts
- * run through the CLI harnesses in tools/ (wal_kill_sweep.sh).
+ * divergence, the anti-entropy scrub (its detection, its read-once
+ * loads, and windowed loads of served logs), shard-independent
+ * replay, and the SIGTERM drain path. Process-kill (`kill -9`)
+ * variants of the same contracts run through the CLI harnesses in
+ * tools/ (wal_kill_sweep.sh).
  */
 
 #include <gtest/gtest.h>
@@ -393,8 +395,10 @@ TEST(Durability, ScrubComparisonCatchesOneUnitOfDrift)
 {
     // Drive a replica live, then re-derive its window digests from the
     // records it emitted, as the scrub does. The honest derivation
-    // matches; one extra unit for one in-window tenant must not.
-    const ServerConfig config = durableConfig();
+    // matches; one extra unit for one in-window tenant of any shard
+    // must move exactly that shard's digest and the fleet digest.
+    ServerConfig config = durableConfig();
+    config.shards = 4;
     const TenantPopulation population(populationConfig(config));
     Replica replica(config, population);
     std::vector<durability::WalTickRecord> records;
@@ -408,31 +412,45 @@ TEST(Durability, ScrubComparisonCatchesOneUnitOfDrift)
         return periodUnits(population, tenant, period);
     };
     const std::uint64_t watermark = replica.watermark();
+    const durability::WindowDigests live = replica.windowDigests();
     EXPECT_EQ(durability::deriveWindowDigests(
                   records, config.shards, config.windowPeriods,
                   watermark, honest),
-              replica.windowDigests());
+              live);
 
     const durability::ScrubWindow window = durability::scrubWindow(
         records, config.windowPeriods, watermark);
     ASSERT_GT(window.periods, 0u);
-    // A tenant with an admitted batch covering the newest in-window
-    // period.
+    // Per shard, a tenant with an admitted batch covering the newest
+    // in-window period.
     const std::uint64_t newest = window.first + window.periods - 1;
-    std::uint64_t drifted = ~std::uint64_t{0};
+    std::vector<std::uint64_t> drifted(config.shards,
+                                       ~std::uint64_t{0});
     for (const auto &record : records)
         for (const auto &batch : record.admitted)
             if (batch.period > newest &&
                 batch.period - batch.coveredPeriods <= newest)
-                drifted = batch.tenant;
-    ASSERT_NE(drifted, ~std::uint64_t{0});
-    EXPECT_FALSE(durability::deriveWindowDigests(
-                     records, config.shards, config.windowPeriods,
-                     watermark,
-                     [&](std::uint64_t tenant, std::uint64_t period) {
-                         return honest(tenant, period) +
-                             (tenant == drifted ? 1 : 0);
-                     }) == replica.windowDigests());
+                drifted[batch.tenant % config.shards] = batch.tenant;
+    for (std::size_t s = 0; s < config.shards; ++s) {
+        SCOPED_TRACE("shard " + std::to_string(s));
+        ASSERT_NE(drifted[s], ~std::uint64_t{0});
+        const durability::WindowDigests derived =
+            durability::deriveWindowDigests(
+                records, config.shards, config.windowPeriods,
+                watermark,
+                [&](std::uint64_t tenant, std::uint64_t period) {
+                    return honest(tenant, period) +
+                        (tenant == drifted[s] ? 1 : 0);
+                });
+        EXPECT_FALSE(derived == live);
+        EXPECT_NE(derived.fleet, live.fleet);
+        for (std::size_t other = 0; other < config.shards; ++other)
+            if (other == s)
+                EXPECT_NE(derived.shard[other], live.shard[other]);
+            else
+                EXPECT_EQ(derived.shard[other], live.shard[other])
+                    << other;
+    }
 }
 
 TEST(Durability, ScrubDerivesFromTheRecordsThatReachTheWindow)
@@ -532,6 +550,135 @@ TEST(Durability, RecoveryScrubsReuseTheLoadedLog)
     EXPECT_EQ(loads, 1u);
     expectSameSignal(recovered, live);
 #endif
+}
+
+TEST(Durability, LiveScrubsReadEachFrameOnceAndDeriveEachPeriodOnce)
+{
+#if defined(FAIRCO2_OBS_OFF)
+    GTEST_SKIP() << "counts wal reads through obs counters";
+#else
+    // 32 arrival periods at watermark 9 log 41 ticks; scrubs every 8
+    // periods land at 8, 16, 24, 32 and 40. Each reads only the frames
+    // committed since the previous one, so the run reads each of its
+    // 41 frames once; and with the cadence equal to the window, the
+    // windows [0,0), [0,8), ..., [24,32) derive each closed period
+    // once.
+    ServerConfig config = durableConfig();
+    config.durationPeriods = 32;
+    config.windowPeriods = 8;
+    config.maxBatchPeriods = 8;
+    config.durability.scrubPeriods = 8;
+    config.durability.walDir = walDir("scrub_reads");
+    obs::resetForTest();
+    obs::setEnabled(true);
+    const ServerReport live = runServer(config);
+    const std::uint64_t loads =
+        obs::counter("durability.wal.loads").value();
+    const std::uint64_t frames =
+        obs::counter("durability.wal.frames_read").value();
+    const std::uint64_t pairs =
+        obs::counter("durability.scrub.pairs_derived").value();
+    obs::resetForTest();
+    ASSERT_EQ(live.walRecords, 41u);
+    EXPECT_EQ(live.scrubRuns, 5u);
+    EXPECT_EQ(loads, 5u);
+    EXPECT_EQ(frames, 41u);
+
+    // Every (admitted batch, covered period) pair of the 32 closed
+    // periods, counted from the log.
+    std::uint64_t closed_pairs = 0;
+    const auto log = durability::loadWal(config.durability.walDir,
+                                         serverConfigHash(config));
+    for (const auto &record : log.records)
+        for (const auto &batch : record.admitted)
+            for (std::uint32_t p = 0; p < batch.coveredPeriods; ++p)
+                closed_pairs +=
+                    batch.period - batch.coveredPeriods + p < 32;
+    EXPECT_GT(closed_pairs, 0u);
+    EXPECT_EQ(pairs, closed_pairs);
+#endif
+}
+
+TEST(Durability, ScrubsPassAtAnyThreadCount)
+{
+    // A scrub after every period: the wal-derived digests must equal
+    // the live replica's, which do not depend on the thread count, at
+    // 1, 2 and 8 threads alike (a mismatch throws).
+    ServerConfig config = durableConfig();
+    config.shards = 3;
+    config.durability.scrubPeriods = 1;
+    const std::uint64_t horizon =
+        config.durationPeriods + config.maxBatchPeriods + 1;
+    const ServerReport baseline = runServer(durableConfig());
+    const std::size_t saved = parallel::threadCount();
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        parallel::setThreadCount(threads);
+        config.durability.walDir =
+            walDir("threads_" + std::to_string(threads));
+        const ServerReport report = runServer(config);
+        EXPECT_EQ(report.scrubRuns, horizon - 1);
+        EXPECT_EQ(report.scrubMismatches, 0u);
+        expectSameSignal(report, baseline);
+    }
+    parallel::setThreadCount(saved);
+}
+
+/** Every windowed load of @p dir is the full load's suffix, and a
+ *  load from past the end throws. */
+void
+expectWindowedLoadsMatch(const std::string &dir, std::uint64_t hash)
+{
+    const auto full = durability::loadWal(dir, hash);
+    const std::size_t n = full.records.size();
+    ASSERT_GT(n, 0u);
+    for (std::size_t from = 0; from <= n; ++from) {
+        const auto part = durability::loadWal(dir, hash, from);
+        ASSERT_EQ(part.records.size(), n - from) << "from " << from;
+        for (std::size_t i = 0; i < part.records.size(); ++i)
+            EXPECT_EQ(part.records[i], full.records[from + i])
+                << "from " << from << ", record " << from + i;
+    }
+    EXPECT_THROW(durability::loadWal(dir, hash, n + 1),
+                 durability::WalIntegrityError);
+}
+
+TEST(Durability, WindowedLoadsOfAServedLogAreItsSuffix)
+{
+    // A log shaped by every path that writes one: a halt leaving an
+    // `.open` tail, a SIGTERM drain sealing the adopted tail short, a
+    // recovery adopting and continuing a tail, and a clean finish.
+    ServerConfig config = durableConfig();
+    config.durability.walDir = walDir("windowed");
+    const std::uint64_t hash = serverConfigHash(config);
+    const std::string &dir = config.durability.walDir;
+
+    ServerConfig crashed = config;
+    crashed.durability.haltAtTick = 7; // 4 records in `.open`
+    runServer(crashed);
+    expectWindowedLoadsMatch(dir, hash);
+
+    resilience::resetShutdownForTest();
+    resilience::installShutdownHandler();
+    std::raise(SIGTERM);
+    ServerConfig drained = config;
+    drained.durability.recover = true;
+    EXPECT_TRUE(runServer(drained).interrupted);
+    resilience::resetShutdownForTest();
+    ASSERT_TRUE(fs::exists(durability::segmentPath(dir, 1, true)));
+    EXPECT_EQ(durability::loadWal(dir, hash).records.size(), 4u);
+
+    ServerConfig resumed = config;
+    resumed.durability.recover = true;
+    resumed.durability.haltAtTick = 25; // 13 records: 4 + 6 + 3 open
+    runServer(resumed);
+    EXPECT_EQ(durability::loadWal(dir, hash).tailRecords, 3u);
+    expectWindowedLoadsMatch(dir, hash);
+
+    ServerConfig finished = config;
+    finished.durability.recover = true;
+    expectSameSignal(runServer(finished), runServer(durableConfig()));
+    expectWindowedLoadsMatch(dir, hash);
 }
 
 TEST(Durability, ScrubDisabledByZeroPeriod)

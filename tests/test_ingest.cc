@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -40,6 +41,63 @@ TEST(Ingest, CleanColumnPassesUntouched)
     EXPECT_EQ(values, (std::vector<double>{1.5, 2.5, 3.5}));
     EXPECT_EQ(report.rowsTotal, 3u);
     EXPECT_EQ(report.rowsBad, 0u);
+}
+
+/** A day of 300 s demand samples as a `t,demand` CSV. */
+std::string
+dayCsv(const std::string &name)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::ofstream out(path, std::ios::trunc);
+    out << "t,demand\n";
+    for (int i = 0; i < 288; ++i)
+        out << i << "," << 100 + (i * 37) % 23 << "\n";
+    return path;
+}
+
+TEST(Ingest, BoundaryNansMeetTheBadRowPolicy)
+{
+    // `nan=P` poisons loaded values at the module boundary, after the
+    // row-level drop/corrupt sites; the bad-row policy decides what
+    // happens to them, and the report counts them.
+    const std::string path = dayCsv("fairco2_ingest_nan.csv");
+    const auto clean = loadSeriesColumn(path, "demand", 300.0,
+                                        BadRowPolicy::Interpolate,
+                                        nullptr, nullptr);
+    ASSERT_EQ(clean.size(), 288u);
+
+    const FaultPlan plan = FaultPlan::parse("seed=3,nan=0.5");
+    std::size_t injected = 0;
+    for (std::size_t i = 0; i < 288; ++i)
+        injected += plan.fires(FaultSite::NanBoundary, i);
+    ASSERT_GT(injected, 0u);
+    IngestReport report;
+    const auto repaired = loadSeriesColumn(
+        path, "demand", 300.0, BadRowPolicy::Interpolate, &plan,
+        &report);
+    EXPECT_EQ(report.rowsTotal, 288u);
+    EXPECT_EQ(report.rowsBad, injected);
+    EXPECT_EQ(report.nonFinite, injected);
+    EXPECT_EQ(report.repaired, injected);
+    ASSERT_EQ(repaired.size(), clean.size());
+    EXPECT_NE(repaired.values(), clean.values());
+    for (double v : repaired.values())
+        EXPECT_TRUE(std::isfinite(v));
+
+    IngestReport none;
+    const FaultPlan zero = FaultPlan::parse("seed=3,nan=0");
+    const auto same = loadSeriesColumn(path, "demand", 300.0,
+                                       BadRowPolicy::Interpolate, &zero,
+                                       &none);
+    EXPECT_EQ(0, std::memcmp(same.values().data(),
+                             clean.values().data(),
+                             288 * sizeof(double)));
+    EXPECT_EQ(none.rowsBad, 0u);
+
+    EXPECT_THROW(loadSeriesColumn(path, "demand", 300.0,
+                                  BadRowPolicy::Fail, &plan, nullptr),
+                 IngestError);
+    std::remove(path.c_str());
 }
 
 TEST(Ingest, FailPolicyNamesRowAndCause)

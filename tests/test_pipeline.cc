@@ -292,6 +292,27 @@ TEST(Pipeline, SeededFaultScenariosKeepTheRunInvariants)
     EXPECT_EQ(faulted, 16u);
 }
 
+TEST(Pipeline, BoundaryNansReachTheInMemoryIngest)
+{
+    // The in-memory ingest applies `nan=P` like loadSeriesColumn does:
+    // after drop/corrupt, before the bad-row policy.
+    auto config = baseConfig();
+    config.badRowPolicy = resilience::BadRowPolicy::Interpolate;
+    config.faultPlan = resilience::FaultPlan::parse("seed=3,nan=0.5");
+    std::size_t injected = 0;
+    for (std::size_t i = 0; i < config.demandSeries.size(); ++i)
+        injected += config.faultPlan.fires(
+            resilience::FaultSite::NanBoundary, i);
+    ASSERT_GT(injected, 0u);
+    const auto result = runAttributionPipeline(config);
+    EXPECT_EQ(result.ingest.nonFinite, injected);
+    EXPECT_EQ(result.ingest.repaired, injected);
+    EXPECT_FALSE(bitwiseEqual(result.demand, config.demandSeries));
+
+    config.badRowPolicy = resilience::BadRowPolicy::Fail;
+    EXPECT_THROW(runAttributionPipeline(config), resilience::IngestError);
+}
+
 TEST(Pipeline, HealthJsonIdenticalAcrossThreadCounts)
 {
     auto config = baseConfig();

@@ -5,9 +5,11 @@
  * integrity taxonomy (sealed damage always throws; tail damage drops
  * the torn suffix with a named diagnostic and never yields a wrong
  * value), the version gate, write failures surfacing as errors,
- * tail adoption on recovery, the compression codec path, and
- * the scrub digest helpers, including the shard-parallel derivation's
- * thread-count independence and its sensitivity to one unit of drift.
+ * tail adoption on recovery, the compression codec path, windowed
+ * loads, the scrub's read-once record list and its detection
+ * contract, and the scrub digest helpers, including the parallel
+ * derivation's thread-count independence and its sensitivity to one
+ * unit of drift.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "cache/compr_api.hh"
+#include "common/obs.hh"
 #include "common/parallel.hh"
 #include "durability/wal.hh"
 
@@ -444,6 +447,338 @@ TEST(WalCodec, FlippedCompressedByteIsNeverAWrongValue)
     EXPECT_TRUE(load.droppedTail);
     for (std::size_t i = 0; i < load.records.size(); ++i)
         EXPECT_EQ(load.records[i], makeRecord(i, 64));
+}
+
+/** Flip one payload byte of frame @p frame (0-based, within the
+ *  segment) of the segment at @p path: the frame's length fields stay
+ *  intact, its checksum no longer matches. */
+void
+flipPayloadByte(const std::string &path, std::size_t frame)
+{
+    std::fstream file(path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    std::streamoff pos = 4 + 4 + 8 + 8; // the segment header
+    const auto u32At = [&file](std::streamoff at) {
+        unsigned char bytes[4] = {0, 0, 0, 0};
+        file.seekg(at);
+        file.read(reinterpret_cast<char *>(bytes), 4);
+        return static_cast<std::uint32_t>(bytes[0]) |
+            static_cast<std::uint32_t>(bytes[1]) << 8 |
+            static_cast<std::uint32_t>(bytes[2]) << 16 |
+            static_cast<std::uint32_t>(bytes[3]) << 24;
+    };
+    for (std::size_t i = 0; i < frame; ++i)
+        pos += 4 + 4 + 1 + u32At(pos + 4) + 8;
+    const std::streamoff at = pos + 4 + 4 + 1 + u32At(pos + 4) / 2;
+    char byte = 0;
+    file.seekg(at);
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x20);
+    file.seekp(at);
+    file.write(&byte, 1);
+    ASSERT_TRUE(file.good()) << path;
+}
+
+/** Every windowed load of @p dir is the full load's suffix, and a
+ *  load from past the end throws. */
+void
+expectWindowedLoadsMatch(const std::string &dir)
+{
+    const WalLoadResult full = loadWal(dir, kHash);
+    const std::size_t n = full.records.size();
+    ASSERT_GT(n, 0u);
+    for (std::size_t from = 0; from <= n; ++from) {
+        const WalLoadResult part = loadWal(dir, kHash, from);
+        ASSERT_EQ(part.records.size(), n - from) << "from " << from;
+        for (std::size_t i = 0; i < part.records.size(); ++i)
+            EXPECT_EQ(part.records[i], full.records[from + i])
+                << "from " << from << ", record " << from + i;
+        EXPECT_EQ(part.sealedSegments, full.sealedSegments);
+        EXPECT_EQ(part.nextSegmentIndex, full.nextSegmentIndex);
+        EXPECT_EQ(part.droppedTail, full.droppedTail);
+        EXPECT_EQ(part.tailRecords,
+                  std::min(full.tailRecords, part.records.size()));
+    }
+    EXPECT_THROW(loadWal(dir, kHash, n + 1), WalIntegrityError);
+}
+
+TEST(WalWindowedLoad, SuffixOfSixRecordSegments)
+{
+    const std::string dir = scratchDir("window_six");
+    writeLog(dir, 20, 6); // three sealed segments + a 2-record tail
+    expectWindowedLoadsMatch(dir);
+}
+
+TEST(WalWindowedLoad, SuffixAcrossAShortSeal)
+{
+    // A SIGTERM drain seals a short segment mid-log; the recovered
+    // run continues in the next one.
+    const std::string dir = scratchDir("window_short");
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.segmentRecords = 6;
+    WalWriter writer(options);
+    for (std::uint64_t p = 0; p < 15; ++p) {
+        writer.append(makeRecord(p));
+        if (p == 7)
+            writer.seal(); // segment 2 holds records 6 and 7
+    }
+    ASSERT_EQ(loadWal(dir, kHash).sealedSegments, 3u);
+    expectWindowedLoadsMatch(dir);
+}
+
+TEST(WalWindowedLoad, SuffixOfAnAdoptedTail)
+{
+    const std::string dir = scratchDir("window_adopted");
+    {
+        WalWriter::Options options;
+        options.dir = dir;
+        options.configHash = kHash;
+        options.segmentRecords = 4;
+        WalWriter writer(options);
+        for (std::uint64_t p = 0; p < 6; ++p)
+            writer.append(makeRecord(p));
+        writer.appendTorn(makeRecord(6));
+    }
+    const WalLoadResult partial = loadWal(dir, kHash);
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.segmentRecords = 4;
+    options.firstSegmentIndex = partial.nextSegmentIndex;
+    options.firstRecordIndex =
+        partial.records.size() - partial.tailRecords;
+    WalWriter writer(options);
+    writer.adoptTail(std::vector<WalTickRecord>(
+        partial.records.end() -
+            static_cast<std::ptrdiff_t>(partial.tailRecords),
+        partial.records.end()));
+    for (std::uint64_t p = 6; p < 11; ++p)
+        writer.append(makeRecord(p));
+    ASSERT_EQ(loadWal(dir, kHash).tailRecords, 3u);
+    expectWindowedLoadsMatch(dir);
+}
+
+TEST(WalWindowedLoad, SuffixOfCompressedFrames)
+{
+    const std::string dir = scratchDir("window_lz");
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.codec = cache::Codec::Lz;
+    options.segmentRecords = 6;
+    WalWriter writer(options);
+    for (std::uint64_t p = 0; p < 14; ++p)
+        writer.append(makeRecord(p, 64));
+    ASSERT_LT(writer.storedBytes(), writer.rawBytes());
+    expectWindowedLoadsMatch(dir);
+}
+
+TEST(WalWindowedLoad, DamageBeforeFromIsNotRead)
+{
+    // Segment 1 holds records 0-5. A damaged payload there fails the
+    // full load; a load from record 6 does not open segment 1, and a
+    // load from record 3 steps over frame 2 by its length fields.
+    const std::string dir = scratchDir("window_skip");
+    const auto records = writeLog(dir, 20, 6);
+    flipPayloadByte(segmentPath(dir, 1, true), 2);
+    EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
+    EXPECT_THROW(loadWal(dir, kHash, 2), WalIntegrityError);
+    for (std::uint64_t from : {3u, 6u, 13u}) {
+        const WalLoadResult load = loadWal(dir, kHash, from);
+        ASSERT_EQ(load.records.size(), records.size() - from) << from;
+        for (std::size_t i = 0; i < load.records.size(); ++i)
+            EXPECT_EQ(load.records[i], records[from + i]) << from;
+    }
+}
+
+TEST(WalLoad, StrayCopyCannotShadowASegment)
+{
+    // "wal-000001 (copy).seg" starts with segment 1's digits; read as
+    // index 1 it would replace the real segment 1.
+    const std::string dir = scratchDir("stray");
+    writeLog(dir, 10, 6, cache::Codec::Identity, true);
+    const std::string stray = dir + "/wal-000001 (copy).seg";
+    fs::copy_file(segmentPath(dir, 2, true), stray);
+    try {
+        loadWal(dir, kHash);
+        FAIL() << "a stray wal-* name must not load";
+    } catch (const WalIntegrityError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("wal-000001 (copy).seg"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("not a number"), std::string::npos) << what;
+    }
+    fs::remove(stray);
+
+    // Two names for one index are ambiguous too.
+    const std::string alias = dir + "/wal-1.seg";
+    fs::copy_file(segmentPath(dir, 1, true), alias);
+    EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
+    fs::remove(alias);
+
+    // A leftover tail rewrite has an unknown suffix: skipped.
+    std::ofstream(dir + "/wal-000003.open.tmp") << "partial";
+    EXPECT_EQ(loadWal(dir, kHash).records.size(), 10u);
+}
+
+// ---- The scrub's record list ----------------------------------------
+
+/** `durability.wal.frames_read` so far (0 with obs compiled out). */
+std::uint64_t
+framesRead()
+{
+    return obs::counter("durability.wal.frames_read").value();
+}
+
+TEST(ScrubLog, ReadsEachFrameOnceAndStaysBounded)
+{
+    const std::string dir = scratchDir("scrublog_once");
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.segmentRecords = 6;
+    WalWriter writer(options);
+    obs::resetForTest();
+    obs::setEnabled(true);
+    ScrubLog log(dir, kHash);
+    std::vector<WalTickRecord> none;
+    for (std::uint64_t p = 0; p < 17; ++p) {
+        writer.append(makeRecord(p));
+        if (p == 8 || p == 16)
+            log.extend(p + 1, none);
+    }
+    const std::uint64_t frames = framesRead();
+    obs::resetForTest();
+#if !defined(FAIRCO2_OBS_OFF)
+    EXPECT_EQ(frames, 17u);
+#else
+    (void)frames;
+#endif
+    ASSERT_EQ(log.records().size(), 17u);
+    for (std::uint64_t p = 0; p < 17; ++p)
+        EXPECT_EQ(log.records()[p], makeRecord(p));
+    log.dropThrough(10);
+    ASSERT_EQ(log.records().size(), 6u);
+    EXPECT_EQ(log.records().front().period, 11u);
+}
+
+TEST(ScrubLog, TakesRecoveredRecordsWithoutReadingThem)
+{
+    const std::string dir = scratchDir("scrublog_recovered");
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.segmentRecords = 6;
+    WalWriter writer(options);
+    for (std::uint64_t p = 0; p < 9; ++p)
+        writer.append(makeRecord(p));
+    std::vector<WalTickRecord> recovered = loadWal(dir, kHash).records;
+    for (std::uint64_t p = 9; p < 12; ++p)
+        writer.append(makeRecord(p));
+    // Damage in the recovered range proves extend() does not read it.
+    flipPayloadByte(segmentPath(dir, 1, true), 3);
+
+    obs::resetForTest();
+    obs::setEnabled(true);
+    ScrubLog log(dir, kHash);
+    log.extend(5, recovered);
+    log.extend(12, recovered);
+    const std::uint64_t frames = framesRead();
+    obs::resetForTest();
+#if !defined(FAIRCO2_OBS_OFF)
+    EXPECT_EQ(frames, 3u); // records 9-11, from disk
+#else
+    (void)frames;
+#endif
+    ASSERT_EQ(log.records().size(), 12u);
+    for (std::uint64_t p = 0; p < 12; ++p)
+        EXPECT_EQ(log.records()[p], makeRecord(p));
+}
+
+/** A ScrubLog over a fresh log that has scrubbed records 0-8; the
+ *  writer then commits records 9 to @p end - 1, and @p damage flips a
+ *  byte in one of them. The next extend() must throw naming the
+ *  damaged segment. */
+void
+expectNextScrubThrows(const std::string &name,
+                      std::uint64_t segment_records, std::uint64_t end,
+                      const std::string &damaged, std::size_t frame)
+{
+    const std::string dir = scratchDir(name);
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.segmentRecords = segment_records;
+    WalWriter writer(options);
+    ScrubLog log(dir, kHash);
+    std::vector<WalTickRecord> none;
+    for (std::uint64_t p = 0; p < 9; ++p)
+        writer.append(makeRecord(p));
+    log.extend(9, none);
+    for (std::uint64_t p = 9; p < end; ++p)
+        writer.append(makeRecord(p));
+    const std::string path = dir + "/" + damaged;
+    ASSERT_TRUE(fs::exists(path)) << path;
+    flipPayloadByte(path, frame);
+    try {
+        log.extend(end, none);
+        FAIL() << "a damaged committed frame must fail the scrub";
+    } catch (const WalIntegrityError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+    }
+}
+
+TEST(ScrubLog, DamageInTheOpenTailSinceTheLastScrubThrows)
+{
+    // One 16-record segment: records 0-12 all in `.open`; record 11
+    // is damaged. Recovery would drop it as a torn tail; the scrub,
+    // whose writer committed it, must not.
+    expectNextScrubThrows("scrublog_open", 16, 13, "wal-000001.open",
+                          11);
+}
+
+TEST(ScrubLog, DamageInAJustSealedSegmentThrows)
+{
+    // Six-record segments: records 6-11 form segment 2, sealed by
+    // record 11's append; record 10 is damaged.
+    expectNextScrubThrows("scrublog_sealed", 6, 12, "wal-000002.seg",
+                          4);
+}
+
+TEST(ScrubLog, DamageBeforeTheLastScrubIsLeftToRecovery)
+{
+    // Each frame is checksummed by the first scrub after its commit;
+    // later damage to it is caught by recovery's full load, not by a
+    // later scrub.
+    const std::string dir = scratchDir("scrublog_old");
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.segmentRecords = 6;
+    WalWriter writer(options);
+    ScrubLog log(dir, kHash);
+    std::vector<WalTickRecord> none;
+    for (std::uint64_t p = 0; p < 9; ++p)
+        writer.append(makeRecord(p));
+    log.extend(9, none);
+    flipPayloadByte(segmentPath(dir, 1, true), 2);
+    for (std::uint64_t p = 9; p < 17; ++p)
+        writer.append(makeRecord(p));
+    EXPECT_NO_THROW(log.extend(17, none));
+    EXPECT_EQ(log.records().back(), makeRecord(16));
+    EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
+}
+
+TEST(ScrubLog, AShortLogThrows)
+{
+    const std::string dir = scratchDir("scrublog_short");
+    writeLog(dir, 5, 6);
+    ScrubLog log(dir, kHash);
+    std::vector<WalTickRecord> none;
+    EXPECT_THROW(log.extend(6, none), WalIntegrityError);
 }
 
 TEST(WalDirError, ReportsFileInPlaceOfDirectory)

@@ -109,4 +109,52 @@ expect_exit_2("strict policy vs injected fault"
     signal --demand ${demand_csv} --pool-grams 5000
     --fault-plan seed=9,drop=0.1 --out ${WORK_DIR}/unused.csv)
 
+# `nan=P` poisons values at the ingest boundary, after drop/corrupt and
+# before the bad-row policy: on a day of 300 s samples it must change
+# the signal under interpolate and be counted in the ingest summary,
+# change nothing at P=0, and be fatal under the strict policy.
+set(day_csv ${WORK_DIR}/day.csv)
+set(day_rows "t,demand\n")
+foreach(i RANGE 287)
+    math(EXPR v "100 + (${i} * 37) % 23")
+    string(APPEND day_rows "${i},${v}\n")
+endforeach()
+file(WRITE ${day_csv} "${day_rows}")
+expect_ok("day clean"
+    signal --demand ${day_csv} --pool-grams 5000 --splits 4,6
+    --out ${WORK_DIR}/day_clean.csv)
+execute_process(COMMAND ${FAIRCO2_BIN}
+    signal --demand ${day_csv} --pool-grams 5000 --splits 4,6
+    --fault-plan seed=3,nan=0.5 --on-bad-row=interpolate
+    --out ${WORK_DIR}/day_nan.csv
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "nan=0.5 run: expected exit 0, got ${rc}\n"
+                        "stderr: ${err}")
+endif()
+if(NOT err MATCHES "ingest: [1-9][0-9]* bad of 288 rows \\(0 parse, 0 missing, [1-9][0-9]* non-finite")
+    message(FATAL_ERROR
+            "nan=0.5 run: the ingest summary does not count the "
+            "injected NaNs\nstderr: ${err}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    ${WORK_DIR}/day_nan.csv ${WORK_DIR}/day_clean.csv
+    RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+    message(FATAL_ERROR "fault plan seed=3,nan=0.5 injected nothing")
+endif()
+expect_ok("day nan=0"
+    signal --demand ${day_csv} --pool-grams 5000 --splits 4,6
+    --fault-plan seed=3,nan=0 --on-bad-row=interpolate
+    --out ${WORK_DIR}/day_nan0.csv)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    ${WORK_DIR}/day_nan0.csv ${WORK_DIR}/day_clean.csv
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "fault plan nan=0 changed the signal")
+endif()
+expect_exit_2("strict policy vs injected NaN"
+    signal --demand ${day_csv} --pool-grams 5000 --splits 4,6
+    --fault-plan seed=3,nan=0.5 --out ${WORK_DIR}/unused.csv)
+
 message(STATUS "fairco2 CLI resilience contract OK")
