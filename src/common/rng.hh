@@ -11,6 +11,8 @@
 #ifndef FAIRCO2_COMMON_RNG_HH
 #define FAIRCO2_COMMON_RNG_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -31,11 +33,41 @@ class Rng
 
     /** Construct from a 64-bit seed; equal seeds give equal streams. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL)
-        : seed_(seed), cachedNormal_(0.0), hasCachedNormal_(false)
+        : seed_(seed), state_(stateOf(seed)), cachedNormal_(0.0),
+          hasCachedNormal_(false)
     {
-        std::uint64_t s = seed;
-        for (auto &word : state_)
-            word = splitmix64(s);
+    }
+
+    /**
+     * The xoshiro256** state Rng(@p seed) starts from: four splitmix64
+     * steps from the seed. Exposed so a batched kernel can run the
+     * same stream in SIMD lanes without restating the expansion.
+     */
+    static std::array<std::uint64_t, 4>
+    stateOf(std::uint64_t seed)
+    {
+        std::array<std::uint64_t, 4> state{};
+        for (auto &word : state)
+            word = splitmix64(seed);
+        return state;
+    }
+
+    /**
+     * The construction seed of Rng(@p seed).fork(@p stream): fork() is
+     * `Rng(forkSeed(seed, stream))`, so a chain of forks is a chain of
+     * forkSeed() calls on the root seed.
+     */
+    static std::uint64_t
+    forkSeed(std::uint64_t seed, std::uint64_t stream)
+    {
+        // Counter-based derivation: scramble (seed, stream) through
+        // two splitmix64 steps. The XOR constant keeps fork(0) off the
+        // words the constructor already expanded from the bare seed,
+        // so a child never replays its parent's state.
+        std::uint64_t s = (seed ^ 0x5851f42d4c957f2dULL) +
+            (stream + 1) * 0x9e3779b97f4a7c15ULL;
+        const std::uint64_t first = splitmix64(s);
+        return first ^ splitmix64(s);
     }
 
     /** Smallest value next() can return. */
@@ -113,14 +145,7 @@ class Rng
     Rng
     fork(std::uint64_t stream) const
     {
-        // Counter-based derivation: scramble (seed, stream) through
-        // two splitmix64 steps. The XOR constant keeps fork(0) off the
-        // words the constructor already expanded from the bare seed,
-        // so a child never replays its parent's state.
-        std::uint64_t s = (seed_ ^ 0x5851f42d4c957f2dULL) +
-            (stream + 1) * 0x9e3779b97f4a7c15ULL;
-        const std::uint64_t first = splitmix64(s);
-        return Rng(first ^ splitmix64(s));
+        return Rng(forkSeed(seed_, stream));
     }
 
   private:
@@ -142,7 +167,7 @@ class Rng
     }
 
     std::uint64_t seed_; //!< construction seed, for fork()
-    std::uint64_t state_[4];
+    std::array<std::uint64_t, 4> state_;
     double cachedNormal_;
     bool hasCachedNormal_;
 };

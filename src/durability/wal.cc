@@ -843,11 +843,9 @@ scrubWindow(std::span<const WalTickRecord> records,
 }
 
 WindowDigests
-deriveWindowDigests(
-    std::span<const WalTickRecord> records, std::size_t shards,
-    std::size_t window_periods, std::uint64_t watermark,
-    const std::function<std::uint64_t(std::uint64_t tenant,
-                                      std::uint64_t period)> &unitsOf)
+deriveWindowDigests(std::span<const WalTickRecord> records,
+                    std::size_t shards, std::size_t window_periods,
+                    std::uint64_t watermark, const PeriodUnits &unitsOf)
 {
     const ScrubWindow window =
         scrubWindow(records, window_periods, watermark);
@@ -864,9 +862,11 @@ deriveWindowDigests(
     // periods only — the exact quantities the live replicas keep in
     // their windowUnitSums deques — in one pass over the reaching
     // batches: one chunk per record, each summing into its own
-    // (shard, period) partials. The sums are integers, so folding the
-    // partials gives the same digests for any chunking and any
-    // thread count. A batch covers [period - coveredPeriods, period).
+    // (shard, period) partials. A batch covers
+    // [period - coveredPeriods, period); its in-window pairs queue in
+    // their (shard, period) slot and go to unitsOf a run at a time.
+    // The sums are integers, so folding the partials gives the same
+    // digests for any grouping, chunking and thread count.
     const std::uint64_t window_end = window.first + window.periods;
     const std::size_t slots = shards * window.periods;
     const std::vector<std::uint64_t> sums = parallel::parallelMapReduce(
@@ -874,7 +874,15 @@ deriveWindowDigests(
         std::vector<std::uint64_t>(slots, 0),
         [&](std::size_t lo, std::size_t hi) {
             std::vector<std::uint64_t> partial(slots, 0);
+            std::vector<std::vector<std::uint64_t>> queued(slots);
             [[maybe_unused]] std::uint64_t pairs = 0;
+            const auto flush = [&](std::size_t slot) {
+                std::vector<std::uint64_t> &tenants = queued[slot];
+                partial[slot] +=
+                    unitsOf(window.first + slot % window.periods, tenants);
+                pairs += tenants.size();
+                tenants.clear();
+            };
             for (std::size_t r = lo; r < hi; ++r) {
                 for (const WalBatch &batch : reaching[r].admitted) {
                     const std::size_t slot =
@@ -886,12 +894,17 @@ deriveWindowDigests(
                         if (covered < window.first ||
                             covered >= window_end)
                             continue;
-                        partial[slot + (covered - window.first)] +=
-                            unitsOf(batch.tenant, covered);
-                        ++pairs;
+                        const std::size_t at =
+                            slot + (covered - window.first);
+                        queued[at].push_back(batch.tenant);
+                        if (queued[at].size() == kDeriveBatch)
+                            flush(at);
                     }
                 }
             }
+            for (std::size_t at = 0; at < slots; ++at)
+                if (!queued[at].empty())
+                    flush(at);
             FAIRCO2_COUNT("durability.scrub.pairs_derived", pairs);
             return partial;
         },
@@ -917,6 +930,24 @@ deriveWindowDigests(
     }
     out.fleet = windowSumDigest(window.closed, fleet);
     return out;
+}
+
+WindowDigests
+deriveWindowDigests(
+    std::span<const WalTickRecord> records, std::size_t shards,
+    std::size_t window_periods, std::uint64_t watermark,
+    const std::function<std::uint64_t(std::uint64_t tenant,
+                                      std::uint64_t period)> &unitsOf)
+{
+    return deriveWindowDigests(
+        records, shards, window_periods, watermark,
+        PeriodUnits([&unitsOf](std::uint64_t period,
+                               std::span<const std::uint64_t> tenants) {
+            std::uint64_t units = 0;
+            for (std::uint64_t tenant : tenants)
+                units += unitsOf(tenant, period);
+            return units;
+        }));
 }
 
 } // namespace fairco2::durability

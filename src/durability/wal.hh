@@ -333,10 +333,21 @@ ScrubWindow scrubWindow(std::span<const WalTickRecord> records,
                         std::size_t window_periods,
                         std::uint64_t watermark);
 
+/** Tenants deriveWindowDigests() passes to one unitsOf call, at most. */
+constexpr std::size_t kDeriveBatch = 64;
+
+/**
+ * The units a group of tenants adds in one period: the sum over
+ * @p tenants of each tenant's units in @p period. A tenant may repeat
+ * (once per batch that covers the period).
+ */
+using PeriodUnits = std::function<std::uint64_t(
+    std::uint64_t period, std::span<const std::uint64_t> tenants)>;
+
 /**
  * Re-derive the window digests purely from WAL records: accumulate
  * per-period unit sums from each admitted batch's covered periods
- * via @p unitsOf(tenant, period) — the caller binds the tenant
+ * via @p unitsOf(period, tenants) — the caller binds the tenant
  * population's integer materialization — route shard sums by
  * `tenant % shards`, and digest the scrubWindow() periods. The fleet
  * sums are the integer sum of the shard sums. Matches
@@ -350,13 +361,26 @@ ScrubWindow scrubWindow(std::span<const WalTickRecord> records,
  * it: the scan starts at the first record past them.
  *
  * The derivation scans each reaching batch once: one
- * parallel::parallelMapReduce chunk per record sums into its own
- * (shard, period) partials, folded afterwards. @p unitsOf is
+ * parallel::parallelMapReduce chunk per record groups the record's
+ * (tenant, period) pairs by (shard, period) and passes each group to
+ * @p unitsOf in runs of at most kDeriveBatch tenants, so its scratch
+ * is bounded by the groups, not by the record. @p unitsOf is
  * therefore called concurrently: it must be safe to call from
  * several threads at once (a pure function over read-only state).
  * The sums are integers, so the digests do not depend on the thread
- * count. Each call bumps `durability.scrub.pairs_derived` by the
- * (tenant, period) pairs it re-materialized.
+ * count or on the grouping. Each call bumps
+ * `durability.scrub.pairs_derived` by the (tenant, period) pairs it
+ * re-materialized.
+ */
+WindowDigests deriveWindowDigests(std::span<const WalTickRecord> records,
+                                  std::size_t shards,
+                                  std::size_t window_periods,
+                                  std::uint64_t watermark,
+                                  const PeriodUnits &unitsOf);
+
+/**
+ * The same derivation, one (tenant, period) pair at a time: a thin
+ * adapter that sums @p unitsOf(tenant, period) over each group.
  */
 WindowDigests deriveWindowDigests(
     std::span<const WalTickRecord> records, std::size_t shards,

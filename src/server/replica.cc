@@ -125,6 +125,17 @@ Replica::pendingFor(Shard &shard, std::uint64_t period) const
     return entry;
 }
 
+std::uint64_t
+Replica::materialize(PendingPeriod &entry) const
+{
+    const std::uint64_t pairs = entry.tenants.size();
+    if (pairs > 0)
+        population_.accumulateTenants(entry.period, entry.carrier,
+                                      entry.tenants, entry.units);
+    entry.tenants.clear();
+    return pairs;
+}
+
 void
 Replica::buildPushSchedule()
 {
@@ -311,43 +322,52 @@ Replica::applyClose(std::uint64_t period)
     // pending accumulators; when a period is closing, extract its
     // samples. One chunk per shard: all mutation is shard-local, so
     // the region is race-free and — because materialization is pure
-    // in (seed, tenant, period) — thread-count independent.
+    // in (seed, tenant, period) — thread-count independent. The
+    // inbox's (tenant, period) pairs are grouped by period and handed
+    // to the batched kernel kMaterializeBatch at a time.
     const bool closing = period >= watermark_;
     const std::uint64_t q = closing ? period - watermark_ : 0;
-    parallel::parallelFor(0, S, 1, [&](std::size_t lo,
-                                       std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-            Shard &shard = shards_[s];
-            for (const BatchRef &batch : shard.inbox) {
-                for (std::uint32_t p = 0; p < batch.coveredPeriods;
-                     ++p) {
-                    PendingPeriod &entry = pendingFor(
-                        shard, batch.period - batch.coveredPeriods + p);
-                    population_.accumulatePeriod(batch.tenant,
-                                                 entry.period,
-                                                 entry.carrier,
-                                                 entry.units);
+    {
+        FAIRCO2_SPAN("server.close.materialize");
+        parallel::parallelFor(0, S, 1, [&](std::size_t lo,
+                                           std::size_t hi) {
+            for (std::size_t s = lo; s < hi; ++s) {
+                Shard &shard = shards_[s];
+                [[maybe_unused]] std::uint64_t pairs = 0;
+                for (const BatchRef &batch : shard.inbox) {
+                    for (std::uint32_t p = 0; p < batch.coveredPeriods;
+                         ++p) {
+                        PendingPeriod &entry = pendingFor(
+                            shard,
+                            batch.period - batch.coveredPeriods + p);
+                        entry.tenants.push_back(batch.tenant);
+                        if (entry.tenants.size() == kMaterializeBatch)
+                            pairs += materialize(entry);
+                    }
+                    shard.samplesIngested +=
+                        static_cast<std::uint64_t>(
+                            batch.coveredPeriods) *
+                        M;
                 }
-                shard.samplesIngested +=
-                    static_cast<std::uint64_t>(
-                        batch.coveredPeriods) *
-                    M;
+                shard.inbox.clear();
+                for (PendingPeriod &entry : shard.pending)
+                    pairs += materialize(entry);
+                FAIRCO2_COUNT("server.materialize.pairs", pairs);
+                if (!closing)
+                    continue;
+                shard.closedUnits.assign(M, 0);
+                const auto closed = std::find_if(
+                    shard.pending.begin(), shard.pending.end(),
+                    [q](const PendingPeriod &entry) {
+                        return entry.period == q;
+                    });
+                if (closed != shard.pending.end()) {
+                    shard.closedUnits = std::move(closed->units);
+                    shard.pending.erase(closed);
+                }
             }
-            shard.inbox.clear();
-            if (!closing)
-                continue;
-            shard.closedUnits.assign(M, 0);
-            const auto closed = std::find_if(
-                shard.pending.begin(), shard.pending.end(),
-                [q](const PendingPeriod &entry) {
-                    return entry.period == q;
-                });
-            if (closed != shard.pending.end()) {
-                shard.closedUnits = std::move(closed->units);
-                shard.pending.erase(closed);
-            }
-        }
-    });
+        });
+    }
 
     if (!closing)
         return CloseOutcome{};

@@ -178,6 +178,10 @@ class Replica
         std::uint64_t period = 0;
         std::vector<double> carrier;
         std::vector<std::uint64_t> units;
+        /** Tenants covering the period that the close has not yet
+         *  materialized: at most kMaterializeBatch, so the close's
+         *  scratch does not grow with the tick. */
+        std::vector<std::uint64_t> tenants;
     };
 
     /** Shard-local mutable state; only its owning chunk touches it
@@ -209,12 +213,16 @@ class Replica
         std::uint8_t phase = 0;
     };
 
+    /** Tenants the close hands the batched kernel per call. */
+    static constexpr std::size_t kMaterializeBatch = 256;
+
     void buildPushSchedule();
     void offerLive(const BatchRef &batch,
                    durability::WalTickRecord &record);
     CloseOutcome closePeriod(std::uint64_t period);
     PendingPeriod &pendingFor(Shard &shard,
                               std::uint64_t period) const;
+    std::uint64_t materialize(PendingPeriod &entry) const;
 
     const ServerConfig &config_;
     const TenantPopulation &population_;

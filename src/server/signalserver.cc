@@ -264,14 +264,14 @@ SignalServer::runScrub(std::uint64_t period)
         derived = durability::deriveWindowDigests(
             scrubLog_->records(), config_.shards, config_.windowPeriods,
             watermark_,
-            [this, &window, &carriers](std::uint64_t tenant,
-                                       std::uint64_t p) {
+            [this, &window, &carriers](
+                std::uint64_t p, std::span<const std::uint64_t> tenants) {
                 // Only the returned total is used; the per-sample
                 // slots are per-thread scratch.
                 thread_local std::vector<std::uint64_t> scratch;
                 scratch.resize(config_.periodSamples);
-                return population_.accumulatePeriod(
-                    tenant, p, carriers[p - window.first], scratch);
+                return population_.accumulateTenants(
+                    p, carriers[p - window.first], tenants, scratch);
             });
     }
     const durability::WindowDigests live = replica_->windowDigests();

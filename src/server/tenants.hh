@@ -69,6 +69,28 @@ roundUnits(double x)
     return units;
 }
 
+/** The implementations TenantPopulation::accumulateTenants() runs. */
+enum class TenantKernel : std::uint8_t
+{
+    Scalar, //!< accumulatePeriod() per tenant: the reference
+    Avx2,   //!< four tenants per AVX2 lane group (x86-64 only)
+};
+
+/** Avx2 on an x86-64 build whose CPU reports AVX2, else Scalar:
+ *  the kernel accumulateTenants() picks by default. */
+TenantKernel bestTenantKernel();
+
+/**
+ * The Avx2 kernel's random streams, for tests: steps Rng(seeds[i])
+ * in lane i for `raw.size() / 4` draws and writes lane i's d-th
+ * next() to raw[4 d + i] and that draw as uniform() returns it to
+ * uniform[4 d + i]. Requires bestTenantKernel() == Avx2 and spans of
+ * equal length, a multiple of 4; throws std::logic_error otherwise.
+ */
+void avx2LaneDraws(std::span<const std::uint64_t, 4> seeds,
+                   std::span<std::uint64_t> raw,
+                   std::span<double> uniform);
+
 /** Number of TenantClass values (bucket array size). */
 constexpr std::size_t kTenantClasses = 3;
 
@@ -155,6 +177,23 @@ class TenantPopulation
                                    std::uint64_t period,
                                    std::span<const double> carrier,
                                    std::span<std::uint64_t> out) const;
+
+    /**
+     * Add the demand of every tenant in @p tenants for @p period into
+     * @p out and return the units added: bit for bit what calling
+     * accumulatePeriod() on each tenant in turn adds and returns
+     * (DESIGN.md, "Live-signal server", gives the argument). The
+     * spans are as accumulatePeriod() takes them; tenants may repeat.
+     * @p kernel Avx2 runs four tenants per lane group and requires
+     * bestTenantKernel() == Avx2 (std::logic_error otherwise); Scalar
+     * is the reference. Const and pure like accumulatePeriod().
+     */
+    std::uint64_t
+    accumulateTenants(std::uint64_t period,
+                      std::span<const double> carrier,
+                      std::span<const std::uint64_t> tenants,
+                      std::span<std::uint64_t> out,
+                      TenantKernel kernel = bestTenantKernel()) const;
 
     /**
      * Materialize @p tenant's demand for @p period: periodSamples

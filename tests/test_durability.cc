@@ -689,6 +689,55 @@ TEST(Durability, ScrubDisabledByZeroPeriod)
     EXPECT_EQ(runServer(config).scrubRuns, 0u);
 }
 
+TEST(Durability, ScrubCatchesAReplayedBatchCoveringClosedPeriods)
+{
+    // A checksum-valid log whose replay and scrub disagree: one batch
+    // logged at period 9 claims to cover periods [1, 9). The replay
+    // cross-checks (totals, bucket tokens, governor level) pass, and
+    // the replica materializes the already-closed periods 1-3 into
+    // accumulators that never close, while the scrub at period 10
+    // derives its window [2, 6) from the log and counts them. The
+    // scrub must reject the window.
+    ServerConfig config = durableConfig();
+    config.admissionRate = 0; // every admitted batch is a fresh offer
+    config.durability.walDir = walDir("scrub_reject_source");
+    runServer(config);
+    auto log = durability::loadWal(config.durability.walDir,
+                                   serverConfigHash(config));
+    ASSERT_GT(log.records.size(), 10u);
+    durability::WalTickRecord &record = log.records[9];
+    ASSERT_EQ(record.period, 9u);
+    ASSERT_FALSE(record.admitted.empty());
+    ASSERT_EQ(record.admitted.front().period, 9u);
+    record.admitted.front().coveredPeriods = 8;
+
+    ServerConfig recovering = config;
+    recovering.durability.walDir = walDir("scrub_reject");
+    recovering.durability.recover = true;
+    {
+        durability::WalWriter::Options options;
+        options.dir = recovering.durability.walDir;
+        options.configHash = serverConfigHash(recovering);
+        options.segmentRecords =
+            recovering.durability.walSegmentRecords;
+        durability::WalWriter writer(options);
+        for (const durability::WalTickRecord &logged : log.records)
+            writer.append(logged);
+        writer.seal();
+    }
+
+    SignalServer server(recovering);
+    try {
+        server.run();
+        FAIL() << "the scrub passed a window the replay dropped units of";
+    } catch (const durability::WalIntegrityError &error) {
+        EXPECT_NE(std::string(error.what()).find(
+                      "scrub mismatch at period 10"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 // ---- Signal drain (SIGTERM/SIGINT) ---------------------------------
 
 TEST(Durability, SigtermDrainsSealsAndRecovers)

@@ -3,7 +3,8 @@
  * Tests for the sharded live-signal server: Zipf weights, the
  * deterministic event loop, token-bucket admission, tenant-demand
  * purity, the shared-carrier kernel's bit-identity and its inline
- * round, the replica's cached push schedule, and the server's
+ * round, the batched (AVX2) materialization kernel against the scalar
+ * reference, the replica's cached push schedule, and the server's
  * headline contracts — the published fleet signal is bit-identical
  * across shard and thread counts, survives injected cache corruption
  * unchanged, degrades under admission overload, and stays readable
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -461,6 +463,140 @@ TEST(TenantsDeathTest, AccumulateRejectsSpansOfTheWrongLength)
                  "out.size\\(\\) == samples");
     EXPECT_DEATH(pop.accumulatePeriod(1, 3, shortCarrier, out),
                  "carrier.size\\(\\) == samples");
+}
+
+// ---- The batched materialization kernel (ctest label `kernel`) ----
+
+/**
+ * accumulateTenants() on @p kernel against accumulatePeriod() per
+ * tenant, bit for bit in `out` and in the returned total: lists of 0-9
+ * tenants (every tail length, repeats included) over periods 0-47,
+ * several seeds, period lengths around and past the kernel's lane and
+ * stack boundaries, and mean demands from 1 unit up to
+ * kMaxMeanDemandUnits, where halfway samples are common.
+ */
+void
+expectKernelMatchesPerTenantAccumulation(TenantKernel kernel)
+{
+    const std::uint64_t max_mean = kMaxMeanDemandUnits;
+    for (std::uint64_t seed : {3ull, 42ull, 0x9e3779b97f4a7c15ull}) {
+        for (std::size_t samples : {1u, 3u, 12u, 13u, 60u, 100u}) {
+            for (std::uint64_t mean :
+                 {std::uint64_t{1}, std::uint64_t{1} << 20, max_mean}) {
+                TenantPopulation::Config config;
+                config.tenants = 40;
+                config.seed = seed;
+                config.periodSamples = samples;
+                config.meanDemandUnits = mean;
+                const TenantPopulation pop(config);
+                Rng pick(seed ^ samples ^ mean);
+                for (std::uint64_t period = 0; period < 48; ++period) {
+                    const std::vector<double> carrier =
+                        pop.diurnalCarrier(period);
+                    for (std::size_t n = 0; n < 10; ++n) {
+                        std::vector<std::uint64_t> tenants(n);
+                        for (std::uint64_t &tenant : tenants)
+                            tenant = pick.index(config.tenants);
+                        std::vector<std::uint64_t> want(samples);
+                        for (std::size_t s = 0; s < samples; ++s)
+                            want[s] = 7 * s + n;
+                        std::vector<std::uint64_t> got = want;
+                        std::uint64_t want_total = 0;
+                        for (std::uint64_t tenant : tenants)
+                            want_total += pop.accumulatePeriod(
+                                tenant, period, carrier, want);
+                        const std::uint64_t got_total =
+                            pop.accumulateTenants(period, carrier,
+                                                  tenants, got, kernel);
+                        ASSERT_EQ(got, want)
+                            << "seed " << seed << " samples " << samples
+                            << " mean " << mean << " period " << period
+                            << " tenants " << n;
+                        ASSERT_EQ(got_total, want_total)
+                            << "seed " << seed << " samples " << samples
+                            << " mean " << mean << " period " << period
+                            << " tenants " << n;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Tenants, KernelScalarMatchesPerTenantAccumulation)
+{
+    expectKernelMatchesPerTenantAccumulation(TenantKernel::Scalar);
+}
+
+TEST(Tenants, KernelAvx2MatchesScalarBitForBit)
+{
+    if (bestTenantKernel() != TenantKernel::Avx2)
+        GTEST_SKIP() << "this build or CPU has no AVX2; the scalar "
+                        "kernel is the one in use";
+    expectKernelMatchesPerTenantAccumulation(TenantKernel::Avx2);
+}
+
+TEST(Tenants, KernelAvx2MatchesScalarOverAWholePopulation)
+{
+    if (bestTenantKernel() != TenantKernel::Avx2)
+        GTEST_SKIP() << "this build or CPU has no AVX2; the scalar "
+                        "kernel is the one in use";
+    // Long lists: every tenant of a 1001-tenant population at once.
+    TenantPopulation::Config config;
+    config.tenants = 1001;
+    const TenantPopulation pop(config);
+    std::vector<std::uint64_t> tenants(config.tenants);
+    std::iota(tenants.begin(), tenants.end(), 0);
+    for (std::uint64_t period : {0ull, 5ull, 1ull << 20}) {
+        const std::vector<double> carrier = pop.diurnalCarrier(period);
+        std::vector<std::uint64_t> scalar(config.periodSamples, 0);
+        std::vector<std::uint64_t> lanes(config.periodSamples, 0);
+        EXPECT_EQ(pop.accumulateTenants(period, carrier, tenants, lanes,
+                                        TenantKernel::Avx2),
+                  pop.accumulateTenants(period, carrier, tenants, scalar,
+                                        TenantKernel::Scalar));
+        EXPECT_EQ(lanes, scalar) << "period " << period;
+    }
+}
+
+TEST(Tenants, KernelLaneStreamsEqualRng)
+{
+    if (bestTenantKernel() != TenantKernel::Avx2)
+        GTEST_SKIP() << "this build or CPU has no AVX2; the scalar "
+                        "kernel is the one in use";
+    // Seeds as the kernel derives them (fork chains) and bare ones.
+    const std::uint64_t seeds[4] = {
+        Rng::forkSeed(Rng::forkSeed(42, 0), 1),
+        Rng::forkSeed(Rng::forkSeed(42, 99999), 48), 0, ~0ull};
+    constexpr std::size_t kDraws = 200;
+    std::vector<std::uint64_t> raw(4 * kDraws);
+    std::vector<double> uniform(4 * kDraws);
+    avx2LaneDraws(seeds, raw, uniform);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+        Rng next_stream(seeds[lane]);
+        Rng uniform_stream(seeds[lane]);
+        for (std::size_t d = 0; d < kDraws; ++d) {
+            ASSERT_EQ(raw[4 * d + lane], next_stream.next())
+                << "lane " << lane << " draw " << d;
+            const double want = uniform_stream.uniform();
+            ASSERT_EQ(std::memcmp(&uniform[4 * d + lane], &want,
+                                  sizeof(double)),
+                      0)
+                << "lane " << lane << " draw " << d;
+        }
+    }
+}
+
+TEST(TenantsDeathTest, KernelRejectsSpansOfTheWrongLength)
+{
+    TenantPopulation::Config config;
+    config.tenants = 10;
+    const TenantPopulation pop(config);
+    const std::vector<double> carrier = pop.diurnalCarrier(3);
+    const std::vector<std::uint64_t> tenants{1, 2, 3, 4, 5};
+    std::vector<std::uint64_t> shortOut(config.periodSamples - 1, 0);
+    EXPECT_DEATH(pop.accumulateTenants(3, carrier, tenants, shortOut),
+                 "out.size\\(\\) == config_.periodSamples");
 }
 
 /** The population a server with @p config builds. */
